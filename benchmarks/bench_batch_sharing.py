@@ -5,9 +5,9 @@ the sharing factor quantifies the saving versus query-at-a-time execution.
 """
 
 from repro.core.fx import FXDistribution
+from repro.engine import BatchEngine
 from repro.hashing.fields import FileSystem
 from repro.query.workload import QueryWorkload, WorkloadSpec
-from repro.storage.batch import BatchExecutor
 from repro.storage.parallel_file import PartitionedFile
 
 FS = FileSystem.of(8, 8, 8, m=8)
@@ -24,12 +24,12 @@ def _setup():
 
 def bench_batched_execution(benchmark, show):
     pf, queries = _setup()
-    executor = BatchExecutor(pf)
-    report = benchmark(executor.execute, queries)
+    engine = BatchEngine(pf)
+    report = benchmark(engine.execute, queries)
     assert report.sharing_factor > 1.0
     show(
-        f"batch of {len(queries)} queries: {report.naive_bucket_reads} naive"
-        f" reads -> {report.bucket_reads} deduplicated"
+        f"batch of {len(queries)} queries: {report.naive_reads} naive"
+        f" reads -> {report.unique_reads} deduplicated"
         f" (sharing factor {report.sharing_factor:.2f}x)"
     )
 

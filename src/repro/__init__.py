@@ -82,7 +82,6 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.storage import (
-    BatchExecutor,
     DynamicPartitionedFile,
     ParallelQuerySimulator,
     PartitionedFile,
@@ -90,7 +89,7 @@ from repro.storage import (
     ReplicatedFile,
 )
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -142,7 +141,6 @@ __all__ = [
     "DynamicPartitionedFile",
     "ReplicatedFile",
     "QueryExecutor",
-    "BatchExecutor",
     "BatchEngine",
     "BatchExecutionReport",
     "ParallelQuerySimulator",

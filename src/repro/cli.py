@@ -325,9 +325,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     """
     import time
 
+    from repro.engine.plan import ArrayBatchPlanner
     from repro.perf import render_report, reset_counters
     from repro.query.patterns import patterns_with_k_unspecified, representative_query
-    from repro.storage.batch import BatchPlanner
 
     fs = _parse_filesystem(args)
     kwargs: dict[str, object] = {}
@@ -358,7 +358,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         for pattern in patterns_with_k_unspecified(fs.n_fields, 1)
         for __ in range(2)
     ]
-    BatchPlanner(method).plan(batch)
+    ArrayBatchPlanner(method).plan(batch)
 
     print(render_report(title=f"Engine perf counters — {method.describe()}"))
     print()
@@ -617,7 +617,7 @@ def _obs_replay(args: argparse.Namespace):
     import random as _random
 
     from repro import obs
-    from repro.storage.batch import BatchPlanner
+    from repro.engine.plan import ArrayBatchPlanner
     from repro.storage.executor import QueryExecutor
     from repro.storage.parallel_file import PartitionedFile
 
@@ -639,7 +639,7 @@ def _obs_replay(args: argparse.Namespace):
     for query in queries:
         executor.execute(query)
     if len(queries) > 1:
-        BatchPlanner(method).plan(queries)
+        ArrayBatchPlanner(method).plan(queries)
     return method, queries
 
 

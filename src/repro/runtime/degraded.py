@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from repro.hashing.fields import Bucket
 from repro.obs import telemetry, trace_span
 from repro.perf.counters import record_work
-from repro.query.partial_match import PartialMatchQuery
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.retry import RetryPolicy
-from repro.storage.executor import ExecutionResult
+from repro.storage.executor import ExecutionResult, SingleQueryExecutor
 from repro.util.numbers import ceil_div
 
 __all__ = ["DegradedExecutionResult", "DegradedExecutor"]
@@ -68,12 +67,15 @@ class DegradedExecutionResult(ExecutionResult):
         return data
 
 
-class DegradedExecutor:
+class DegradedExecutor(SingleQueryExecutor):
     """Executes partial match queries under a fault plan.
 
     *file* is a :class:`~repro.storage.parallel_file.PartitionedFile` or a
     :class:`~repro.storage.replicated_file.ReplicatedFile`; only the latter
     offers failover (its chained scheme names each bucket's backup).
+    ``execute`` and ``execute_box`` (box queries need a separable base
+    method) plan exactly as :class:`~repro.storage.executor.QueryExecutor`
+    does; every device interaction then goes through the fault plan.
 
     >>> from repro import FileSystem, FXDistribution, PartitionedFile
     >>> fs = FileSystem.of(4, 4, m=4)
@@ -99,26 +101,6 @@ class DegradedExecutor:
         self.retry = retry or RetryPolicy()
         self.injector = FaultInjector(self.plan, self.filesystem.m)
         self._query_seq = 0
-
-    # ------------------------------------------------------------------
-    # Entry points
-    # ------------------------------------------------------------------
-    def execute(self, query: PartialMatchQuery) -> DegradedExecutionResult:
-        """Run one partial match query through the fault-filtered array."""
-
-        def assigned_to(device_id: int) -> list[Bucket]:
-            return list(self.method.qualified_on_device(device_id, query))
-
-        return self._run(query, query.qualified_count, assigned_to)
-
-    def execute_box(self, box) -> DegradedExecutionResult:
-        """Run a box query (requires a separable base method)."""
-        from repro.analysis.box import box_qualified_on_device
-
-        def assigned_to(device_id: int) -> list[Bucket]:
-            return list(box_qualified_on_device(self.method, device_id, box))
-
-        return self._run(box, box.qualified_count, assigned_to)
 
     def search(self, specified) -> DegradedExecutionResult:
         """Convenience: hash raw attribute values, build and run the query."""

@@ -46,7 +46,8 @@ from repro.query.algebra import subsumes
 from repro.query.partial_match import PartialMatchQuery
 from repro.runtime.retry import RetryPolicy
 from repro.service.admission import AdmissionController
-from repro.storage.cache import CachedExecutor
+from repro.storage.cache import CachedExecutor, CachedLookup
+from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
 
 __all__ = ["ServiceConfig", "ServiceResult", "QueryService"]
@@ -182,18 +183,14 @@ class _Flight:
         self.query = query
         self.start_version = start_version
         self._done = threading.Event()
-        self.buckets: dict[Bucket, tuple[object, ...]] | None = None
-        self.version: int = -1
+        self.lookup: CachedLookup | None = None
         self.error: BaseException | None = None
         #: The leader's trace position, so followers can link their spans
         #: to the request that actually did the device round-trip.
         self.leader_context = None
 
-    def resolve(
-        self, buckets: dict[Bucket, tuple[object, ...]], version: int
-    ) -> None:
-        self.buckets = buckets
-        self.version = version
+    def resolve(self, lookup: CachedLookup) -> None:
+        self.lookup = lookup
         self._done.set()
 
     def fail(self, error: BaseException) -> None:
@@ -207,37 +204,18 @@ class _Flight:
 class _BatchSlot:
     """One request waiting for its micro-batch to execute."""
 
-    __slots__ = (
-        "query",
-        "buckets",
-        "version",
-        "hit",
-        "error",
-        "size",
-        "leader_context",
-        "_done",
-    )
+    __slots__ = ("query", "lookup", "error", "size", "leader_context", "_done")
 
     def __init__(self, query: PartialMatchQuery):
         self.query = query
-        self.buckets: dict[Bucket, tuple[object, ...]] | None = None
-        self.version: int = -1
-        self.hit: str = ""
+        self.lookup: CachedLookup | None = None
         self.size: int = 0
         self.leader_context = None
         self.error: BaseException | None = None
         self._done = threading.Event()
 
-    def resolve(
-        self,
-        buckets: dict[Bucket, tuple[object, ...]],
-        version: int,
-        hit: str,
-        size: int,
-    ) -> None:
-        self.buckets = buckets
-        self.version = version
-        self.hit = hit
+    def resolve(self, lookup: CachedLookup, size: int) -> None:
+        self.lookup = lookup
         self.size = size
         self._done.set()
 
@@ -310,9 +288,9 @@ class _MicroBatcher:
                 for slot in batch:
                     slot.fail(error)
                 raise
-            for slot, (buckets, version, hit) in zip(batch, resolved):
+            for slot, lookup in zip(batch, resolved):
                 slot.leader_context = leader_context
-                slot.resolve(buckets, version, hit, len(batch))
+                slot.resolve(lookup, len(batch))
         finally:
             if overflow:
                 self.run_leader()
@@ -355,6 +333,8 @@ class QueryService:
             if self.config.batch_max_size is not None
             else None
         )
+        #: Uncached single-query reads; batches go through ``_engine``.
+        self._reader = QueryExecutor(partitioned_file)
         self._engine = None
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
@@ -561,32 +541,32 @@ class QueryService:
         if self._batcher is not None:
             return self._serve_batched(query, start, deadline_ms)
         if not self.config.coalesce:
-            buckets, version, hit = self._fetch(query)
+            lookup = self._fetch(query)
             telemetry().metrics.add("service.leader_fetches")
             return ServiceResult(
                 status=OK,
                 query=query,
-                records=self._collect(buckets, query),
-                write_version=version,
-                cache_hit=hit,
+                records=lookup.collect(),
+                write_version=lookup.version,
+                cache_hit=lookup.hit,
             )
         flight, leader = self._join_or_lead(query)
         if leader:
             try:
-                buckets, version, hit = self._fetch(query)
+                lookup = self._fetch(query)
             except BaseException as error:
                 self._retire(flight)
                 flight.fail(error)
                 raise
             self._retire(flight)
-            flight.resolve(buckets, version)
+            flight.resolve(lookup)
             telemetry().metrics.add("service.leader_fetches")
             return ServiceResult(
                 status=OK,
                 query=query,
-                records=self._collect(buckets, query),
-                write_version=version,
-                cache_hit=hit,
+                records=lookup.collect(),
+                write_version=lookup.version,
+                cache_hit=lookup.hit,
             )
         remaining = self._remaining_s(start, deadline_ms)
         if not flight.wait(remaining):
@@ -599,8 +579,8 @@ class QueryService:
         return ServiceResult(
             status=OK,
             query=query,
-            records=self._collect(flight.buckets, query),
-            write_version=flight.version,
+            records=flight.lookup.collect(query),
+            write_version=flight.lookup.version,
             coalesced=True,
         )
 
@@ -625,10 +605,10 @@ class QueryService:
         return ServiceResult(
             status=OK,
             query=query,
-            records=self._collect(slot.buckets, query),
-            write_version=slot.version,
+            records=slot.lookup.collect(),
+            write_version=slot.lookup.version,
             batched=True,
-            cache_hit=slot.hit,
+            cache_hit=slot.lookup.hit,
         )
 
     def execute_many(
@@ -686,18 +666,18 @@ class QueryService:
         metrics.add("service.batched", len(queries))
         metrics.observe("service.batch_size", float(len(queries)))
         results = []
-        for query, (buckets, version, hit) in zip(queries, resolved):
+        for query, lookup in zip(queries, resolved):
             result = ServiceResult(
                 status=OK,
                 query=query,
-                records=self._collect(buckets, query),
-                write_version=version,
+                records=lookup.collect(),
+                write_version=lookup.version,
                 submit_version=submit_version,
                 queue_ms=decision.queue_ms,
                 total_ms=total,
                 admission_attempts=decision.attempts,
                 batched=True,
-                cache_hit=hit,
+                cache_hit=lookup.hit,
             )
             self._observe(metrics, result)
             results.append(result)
@@ -705,8 +685,8 @@ class QueryService:
 
     def _execute_batch_queries(
         self, queries: list[PartialMatchQuery]
-    ) -> list[tuple[dict[Bucket, tuple[object, ...]], int, str]]:
-        """Resolve a batch to per-query ``(buckets, version, hit)`` triples.
+    ) -> list[CachedLookup]:
+        """Resolve a batch to one lookup per query.
 
         With a result cache the batch goes through
         :meth:`~repro.storage.cache.CachedExecutor.lookup_batch` (hits
@@ -714,17 +694,16 @@ class QueryService:
         one it goes straight to the batch engine.
         """
         if self.cache is not None:
-            lookups = self.cache.lookup_batch(queries)
-            return [
-                (lookup.buckets, lookup.version, lookup.hit)
-                for lookup in lookups
-            ]
+            return self.cache.lookup_batch(queries)
         if self._engine is None:
             from repro.engine.batch import BatchEngine
 
             self._engine = BatchEngine(self.file)
         per_query, version = self._engine.fetch_buckets(queries)
-        return [(buckets, version, "") for buckets in per_query]
+        return [
+            CachedLookup(query, buckets, version, "")
+            for query, buckets in zip(queries, per_query)
+        ]
 
     def _join_or_lead(self, query: PartialMatchQuery) -> tuple[_Flight, bool]:
         """Join a compatible in-flight request, or become the leader.
@@ -765,43 +744,12 @@ class QueryService:
             span.set_attr("leader_trace", context.trace_id)
             span.set_attr("leader_span", context.span_id)
 
-    def _fetch(
-        self, query: PartialMatchQuery
-    ) -> tuple[dict[Bucket, tuple[object, ...]], int, str]:
+    def _fetch(self, query: PartialMatchQuery) -> CachedLookup:
         """Bucket-grouped records for *query* plus their write version."""
         if self.cache is not None:
-            lookup = self.cache.lookup(query)
-            return lookup.buckets, lookup.version, lookup.hit
-        buckets: dict[Bucket, tuple[object, ...]] = {}
-        method = self.file.method
-        with trace_span(
-            "query.execute",
-            query=query.describe(),
-            qualified=query.qualified_count,
-        ) as span:
-            buckets_per_device = []
-            with self.file.read_locked():
-                for device in self.file.devices:
-                    assigned = list(
-                        method.qualified_on_device(device.device_id, query)
-                    )
-                    device.read_buckets(assigned)
-                    buckets_per_device.append(len(assigned))
-                    for bucket in assigned:
-                        buckets[bucket] = device.store.records_in(bucket)
-                version = self.file.write_version
-            span.set_attr("buckets_per_device", buckets_per_device)
-        return buckets, version, ""
-
-    @staticmethod
-    def _collect(
-        buckets: dict[Bucket, tuple[object, ...]], query: PartialMatchQuery
-    ) -> list[object]:
-        records: list[object] = []
-        for bucket, bucket_records in buckets.items():
-            if query.matches(bucket):
-                records.extend(bucket_records)
-        return records
+            return self.cache.lookup(query)
+        buckets, version = self._reader.fetch_buckets(query)
+        return CachedLookup(query, buckets, version, "")
 
     @staticmethod
     def _observe(metrics, result: ServiceResult) -> None:

@@ -16,12 +16,6 @@ realisation of both so the distribution methods can be exercised end to end:
   response-time model (max over devices, as for symmetric interconnects).
 """
 
-from repro.storage.batch import (
-    BatchExecutor,
-    BatchPlan,
-    BatchPlanner,
-    BatchReport,
-)
 from repro.storage.btree import BTree
 from repro.storage.btree_store import BTreeBucketStore
 from repro.storage.bucket_store import BucketStore
@@ -70,10 +64,6 @@ __all__ = [
     "Migration",
     "MigrationReport",
     "moved_fraction",
-    "BatchExecutor",
-    "BatchPlan",
-    "BatchPlanner",
-    "BatchReport",
     "CachedExecutor",
     "CacheStats",
     "ReplicatedFile",

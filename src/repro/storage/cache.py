@@ -61,9 +61,9 @@ from repro.core.inverse import bucket_strides
 from repro.engine.signature import pack_queries, pack_query
 from repro.errors import ConfigurationError
 from repro.hashing.fields import Bucket
-from repro.obs import trace_span
 from repro.query.algebra import subsumes
 from repro.query.partial_match import PartialMatchQuery
+from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
@@ -118,7 +118,9 @@ class CachedLookup:
     ``buckets`` holds the *entry*'s buckets (possibly broader than the
     query on a subsumption hit) — callers filter with ``query.matches``.
     ``version`` is the file write version the records reflect; ``hit`` is
-    ``"exact"``, ``"subsumption"`` or ``"miss"``.
+    ``"exact"``, ``"subsumption"`` or ``"miss"``, and ``""`` for a read
+    that had no cache to consult (an uncached
+    :class:`~repro.service.frontend.QueryService`).
     """
 
     query: PartialMatchQuery
@@ -172,6 +174,8 @@ class CachedExecutor:
         #: :mod:`repro.engine.signature`; the entry holds the query.
         self._entries: OrderedDict[tuple[int, int], _Entry] = OrderedDict()
         self._strides = bucket_strides(partitioned_file.filesystem)
+        #: Single-query miss fetches; batches go through ``_engine``.
+        self._reader = QueryExecutor(partitioned_file)
         self._engine: "BatchEngine | None" = None
         self._lock = RLock()
         #: Misses currently fetching outside the lock; while any are in
@@ -204,42 +208,20 @@ class CachedExecutor:
         """
         signature = pack_query(query, self._strides)
         with self._lock:
-            entry = self._entries.get(signature)
-            if entry is not None:
-                self._entries.move_to_end(signature)
-                self.stats.exact_hits += 1
-                return CachedLookup(query, entry.buckets, entry.version, "exact")
-            for cached_key in reversed(self._entries):
-                cached = self._entries[cached_key]
-                if subsumes(cached.query, query):
-                    self._entries.move_to_end(cached_key)
-                    self.stats.subsumption_hits += 1
-                    return CachedLookup(
-                        query, cached.buckets, cached.version, "subsumption"
-                    )
-            self.stats.misses += 1
+            hit = self._probe(query, signature)
+            if hit is not None:
+                return hit
             self._fetching += 1
         try:
-            entry = self._fetch(query)
+            buckets, version = self._reader.fetch_buckets(query)
         except BaseException:
             with self._lock:
                 self._retire_fetch()
             raise
         with self._lock:
-            fresh = not any(
-                version > entry.version
-                and subsumes(
-                    query, PartialMatchQuery.exact(self.file.filesystem, bucket)
-                )
-                for version, bucket in self._pending_notes
-            )
+            self._fill(signature, query, buckets, version)
             self._retire_fetch()
-            if fresh:
-                self._entries[signature] = entry
-                if len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
-        return CachedLookup(query, entry.buckets, entry.version, "miss")
+        return CachedLookup(query, buckets, version, "miss")
 
     def lookup_batch(
         self, queries: "Sequence[PartialMatchQuery]"
@@ -272,26 +254,8 @@ class CachedExecutor:
                     self.stats.misses += 1
                     miss_slots[signature].append(index)
                     continue
-                entry = self._entries.get(signature)
-                if entry is not None:
-                    self._entries.move_to_end(signature)
-                    self.stats.exact_hits += 1
-                    results[index] = CachedLookup(
-                        query, entry.buckets, entry.version, "exact"
-                    )
-                    continue
-                for cached_key in reversed(self._entries):
-                    cached = self._entries[cached_key]
-                    if subsumes(cached.query, query):
-                        self._entries.move_to_end(cached_key)
-                        self.stats.subsumption_hits += 1
-                        results[index] = CachedLookup(
-                            query, cached.buckets, cached.version,
-                            "subsumption",
-                        )
-                        break
-                else:
-                    self.stats.misses += 1
+                results[index] = self._probe(query, signature)
+                if results[index] is None:
                     miss_slots[signature] = [index]
                     miss_queries.append(query)
             if miss_queries:
@@ -310,27 +274,59 @@ class CachedExecutor:
             for query, signature, buckets in zip(
                 miss_queries, miss_slots, bucket_maps
             ):
-                fresh = not any(
-                    note_version > version
-                    and subsumes(
-                        query,
-                        PartialMatchQuery.exact(self.file.filesystem, bucket),
-                    )
-                    for note_version, bucket in self._pending_notes
-                )
-                if fresh:
-                    self._entries[signature] = _Entry(
-                        query=query, buckets=buckets, version=version
-                    )
-                    if len(self._entries) > self.capacity:
-                        self._entries.popitem(last=False)
-                        self.stats.evictions += 1
+                self._fill(signature, query, buckets, version)
                 for slot in miss_slots[signature]:
                     results[slot] = CachedLookup(
                         query, buckets, version, "miss"
                     )
             self._retire_fetch()
         return results
+
+    def _probe(
+        self, query: PartialMatchQuery, signature: tuple[int, int]
+    ) -> CachedLookup | None:
+        """An exact or subsumption hit for *query*, or None after counting
+        the miss (call under the cache lock)."""
+        entry = self._entries.get(signature)
+        if entry is not None:
+            self._entries.move_to_end(signature)
+            self.stats.exact_hits += 1
+            return CachedLookup(query, entry.buckets, entry.version, "exact")
+        for cached_key in reversed(self._entries):
+            cached = self._entries[cached_key]
+            if subsumes(cached.query, query):
+                self._entries.move_to_end(cached_key)
+                self.stats.subsumption_hits += 1
+                return CachedLookup(
+                    query, cached.buckets, cached.version, "subsumption"
+                )
+        self.stats.misses += 1
+        return None
+
+    def _fill(
+        self,
+        signature: tuple[int, int],
+        query: PartialMatchQuery,
+        buckets: dict[Bucket, tuple[object, ...]],
+        version: int,
+    ) -> None:
+        """Cache a fetched result (call under the cache lock, before the
+        fetch retires).  Skipped when a write newer than *version* that
+        matches *query* arrived mid-fetch."""
+        if any(
+            note_version > version
+            and subsumes(
+                query, PartialMatchQuery.exact(self.file.filesystem, bucket)
+            )
+            for note_version, bucket in self._pending_notes
+        ):
+            return
+        self._entries[signature] = _Entry(
+            query=query, buckets=buckets, version=version
+        )
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
     def _batch_engine(self) -> "BatchEngine":
         """The lazily created batch engine behind :meth:`lookup_batch`."""
@@ -346,34 +342,6 @@ class CachedExecutor:
         self._fetching -= 1
         if self._fetching == 0:
             self._pending_notes.clear()
-
-    def _fetch(self, query: PartialMatchQuery) -> _Entry:
-        """Read the query from the devices, keeping per-bucket grouping.
-
-        Runs under the file's mutation lock so the fetched snapshot is a
-        well-defined write-version prefix, never a torn mix of a concurrent
-        insert.
-        """
-        entry = _Entry(query=query)
-        method = self.file.method
-        with trace_span(
-            "query.execute",
-            query=query.describe(),
-            qualified=query.qualified_count,
-        ) as span:
-            buckets_per_device = []
-            with self.file.read_locked():
-                for device in self.file.devices:
-                    assigned = list(
-                        method.qualified_on_device(device.device_id, query)
-                    )
-                    device.read_buckets(assigned)
-                    buckets_per_device.append(len(assigned))
-                    for bucket in assigned:
-                        entry.buckets[bucket] = device.store.records_in(bucket)
-                entry.version = self.file.write_version
-            span.set_attr("buckets_per_device", buckets_per_device)
-        return entry
 
     # ------------------------------------------------------------------
     # Maintenance

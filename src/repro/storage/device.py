@@ -10,6 +10,7 @@ inverse mapping and local retrieval independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.errors import DeviceFullError
 from repro.hashing.fields import Bucket
@@ -89,25 +90,31 @@ class SimulatedDevice:
         cost unit is pages read — overflow chains cost extra — otherwise
         it is buckets touched.
         """
-        records: list[object] = []
-        cost_units = 0
-        page_aware = hasattr(self.store, "pages_in")
-        for bucket in buckets:
-            records.extend(self.store.records_in(bucket))
-            if page_aware:
-                cost_units += self.store.pages_in(bucket)
-        if not page_aware:
+        return list(chain.from_iterable(self.read_grouped(buckets)))
+
+    def read_grouped(self, buckets: list[Bucket]) -> list[tuple[object, ...]]:
+        """:meth:`read_buckets`, keeping each bucket's records apart.
+
+        Returns one records tuple per bucket, parallel to *buckets*.  Each
+        bucket is read from the store once, with the same accounting.
+        """
+        store = self.store
+        grouped = [store.records_in(bucket) for bucket in buckets]
+        if hasattr(store, "pages_in"):
+            cost_units = sum(store.pages_in(bucket) for bucket in buckets)
+        else:
             cost_units = len(buckets)
+        returned = sum(map(len, grouped))
         self.stats.bucket_reads += len(buckets)
-        self.stats.records_returned += len(records)
+        self.stats.records_returned += returned
         self.stats.busy_time_ms += self.cost_model.service_time(cost_units)
         if buckets:
             from repro.obs import telemetry
 
             metrics = telemetry().metrics
             metrics.add("storage.bucket_reads", len(buckets))
-            metrics.add("storage.records_returned", len(records))
-        return records
+            metrics.add("storage.records_returned", returned)
+        return grouped
 
     @property
     def record_count(self) -> int:

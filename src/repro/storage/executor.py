@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.distribution.base import DistributionMethod
 from repro.envelope import SCHEMA_VERSION
 from repro.hashing.fields import Bucket
 from repro.obs import telemetry, trace_span
@@ -20,7 +21,7 @@ from repro.query.partial_match import PartialMatchQuery
 from repro.storage.parallel_file import PartitionedFile
 from repro.util.numbers import ceil_div
 
-__all__ = ["ExecutionResult", "QueryExecutor"]
+__all__ = ["ExecutionResult", "QueryExecutor", "SingleQueryExecutor"]
 
 
 @dataclass
@@ -88,15 +89,22 @@ class ExecutionResult:
         )
 
 
-class QueryExecutor:
-    """Executes partial match queries against a :class:`PartitionedFile`."""
+class SingleQueryExecutor:
+    """The plan step shared by the single-query executors.
 
-    def __init__(self, partitioned_file: PartitionedFile):
-        self.file = partitioned_file
+    :meth:`execute` and :meth:`execute_box` resolve, per device, the
+    qualified buckets that device holds (the method's inverse mapping) and
+    hand that plan to the subclass's device loop ``_run``:
+    :class:`QueryExecutor` serves every device, while
+    :class:`~repro.runtime.degraded.DegradedExecutor` filters them through
+    a fault plan.  Subclasses provide :attr:`method`.
+    """
+
+    method: DistributionMethod
 
     def execute(self, query: PartialMatchQuery) -> ExecutionResult:
         """Run one query through every device and assemble the result."""
-        method = self.file.method
+        method = self.method
 
         def assigned_to(device_id: int) -> list[Bucket]:
             return list(method.qualified_on_device(device_id, query))
@@ -111,12 +119,65 @@ class QueryExecutor:
         """
         from repro.analysis.box import box_qualified_on_device
 
-        method = self.file.method
+        method = self.method
 
         def assigned_to(device_id: int) -> list[Bucket]:
             return list(box_qualified_on_device(method, device_id, box))
 
         return self._run(box, box.qualified_count, assigned_to)
+
+    def _run(self, query, qualified_count: int, assigned_to) -> ExecutionResult:
+        raise NotImplementedError
+
+
+class QueryExecutor(SingleQueryExecutor):
+    """Executes partial match queries against a :class:`PartitionedFile`.
+
+    The serial reference oracle: :meth:`execute` and :meth:`execute_box`
+    serve one device after another.  :meth:`fetch_buckets` is the
+    single-query read behind the result cache's misses and the uncached
+    :class:`~repro.service.frontend.QueryService`.
+    """
+
+    def __init__(self, partitioned_file: PartitionedFile):
+        self.file = partitioned_file
+
+    @property
+    def method(self) -> DistributionMethod:
+        return self.file.method
+
+    def fetch_buckets(
+        self, query: PartialMatchQuery
+    ) -> tuple[dict[Bucket, tuple[object, ...]], int]:
+        """Bucket-grouped records of *query* and the write version they
+        reflect: the single-query counterpart of
+        :meth:`repro.engine.batch.BatchEngine.fetch_buckets`.
+
+        Every qualified bucket maps to its records (``()`` when empty) and
+        is read from its store once.  The read runs under the file's
+        mutation lock, so the snapshot is a well-defined write-version
+        prefix, never a torn mix with a concurrent insert.  The
+        ``query.execute`` span carries the query, its qualified count and
+        the per-device bucket counts.
+        """
+        method = self.method
+        buckets: dict[Bucket, tuple[object, ...]] = {}
+        buckets_per_device = []
+        with trace_span(
+            "query.execute",
+            query=query.describe(),
+            qualified=query.qualified_count,
+        ) as span:
+            with self.file.read_locked():
+                for device in self.file.devices:
+                    assigned = list(
+                        method.qualified_on_device(device.device_id, query)
+                    )
+                    buckets.update(zip(assigned, device.read_grouped(assigned)))
+                    buckets_per_device.append(len(assigned))
+                version = self.file.write_version
+            span.set_attr("buckets_per_device", buckets_per_device)
+        return buckets, version
 
     def _run(self, query, qualified_count: int, assigned_to) -> ExecutionResult:
         result = ExecutionResult(query=query)

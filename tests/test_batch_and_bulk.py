@@ -1,4 +1,5 @@
-"""Tests for batch execution and vectorised bulk device assignment."""
+"""Tests for batch execution (through the batch engine) and vectorised bulk
+device assignment."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from repro.core.fx import FXDistribution
 from repro.distribution.gdm import GDMDistribution
 from repro.distribution.modulo import ModuloDistribution
+from repro.engine import BatchEngine
 from repro.errors import DistributionError, QueryError
 from repro.hashing.fields import FileSystem
 from repro.query.partial_match import PartialMatchQuery
-from repro.storage.batch import BatchExecutor
+from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
 
 FS = FileSystem.of(4, 8, m=4)
@@ -63,6 +65,8 @@ class TestDevicesOfArray:
 
 
 class TestBatchExecutor:
+    """Batch execution and read sharing through the batch engine."""
+
     def _loaded(self):
         pf = PartitionedFile(FXDistribution(FS))
         pf.insert_all([(i, f"n{i % 9}") for i in range(80)])
@@ -71,21 +75,16 @@ class TestBatchExecutor:
     def test_identical_queries_fully_shared(self):
         pf = self._loaded()
         q = pf.query({0: 3})
-        report = BatchExecutor(pf).execute([q, q, q])
+        report = BatchEngine(pf).execute([q, q, q])
         assert report.sharing_factor == pytest.approx(3.0)
-        assert report.bucket_reads == q.qualified_count
+        assert report.unique_reads == q.qualified_count
 
     def test_records_match_single_query_execution(self):
         pf = self._loaded()
         queries = [pf.query({0: 1}), pf.query({1: "n3"}), pf.query({0: 2})]
-        report = BatchExecutor(pf).execute(queries)
-        from repro.storage.executor import QueryExecutor
-
-        for query, batch_records in zip(queries, report.records_per_query):
-            single = QueryExecutor(pf).execute(query)
-            assert sorted(map(str, batch_records)) == sorted(
-                map(str, single.records)
-            )
+        report = BatchEngine(pf).execute(queries)
+        for query, result in zip(queries, report.results):
+            assert result.records == QueryExecutor(pf).execute(query).records
 
     def test_disjoint_queries_share_nothing(self):
         pf = self._loaded()
@@ -93,7 +92,7 @@ class TestBatchExecutor:
             PartialMatchQuery.exact(FS, (0, 0)),
             PartialMatchQuery.exact(FS, (1, 1)),
         ]
-        report = BatchExecutor(pf).execute(queries)
+        report = BatchEngine(pf).execute(queries)
         assert report.reads_saved == 0
         assert report.sharing_factor == 1.0
 
@@ -102,14 +101,15 @@ class TestBatchExecutor:
         # both leave field 1 free and share field-0 slices partially via
         # the full scan
         queries = [pf.query({0: 3}), PartialMatchQuery.full_scan(FS)]
-        report = BatchExecutor(pf).execute(queries)
+        report = BatchEngine(pf).execute(queries)
         assert report.reads_saved == 8  # the {0:3} slice is inside the scan
-        assert report.bucket_reads == FS.bucket_count
+        assert report.unique_reads == FS.bucket_count
 
     def test_empty_batch(self):
         pf = self._loaded()
-        report = BatchExecutor(pf).execute([])
-        assert report.bucket_reads == 0
+        report = BatchEngine(pf).execute([])
+        assert report.results == []
+        assert report.unique_reads == 0
         assert report.sharing_factor == 1.0
         assert report.response_time_ms == 0.0
 
@@ -117,11 +117,4 @@ class TestBatchExecutor:
         pf = self._loaded()
         other = FileSystem.of(4, 8, m=8)
         with pytest.raises(QueryError):
-            BatchExecutor(pf).execute([PartialMatchQuery.full_scan(other)])
-
-    def test_device_stats_accounted(self):
-        pf = self._loaded()
-        before = sum(d.stats.bucket_reads for d in pf.devices)
-        BatchExecutor(pf).execute([PartialMatchQuery.full_scan(FS)])
-        after = sum(d.stats.bucket_reads for d in pf.devices)
-        assert after - before == FS.bucket_count
+            BatchEngine(pf).execute([PartialMatchQuery.full_scan(other)])

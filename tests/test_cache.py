@@ -192,16 +192,16 @@ class TestWriteAwareness:
         pf = _loaded()
         cached = CachedExecutor(pf)
         query = pf.query({0: 3})
-        original_fetch = cached._fetch
+        original_fetch = cached._reader.fetch_buckets
 
         def racing_fetch(q):
-            entry = original_fetch(q)
+            fetched = original_fetch(q)
             pf.insert((3, "mid-fetch"))  # lands in a bucket the query matches
-            return entry
+            return fetched
 
-        cached._fetch = racing_fetch
+        cached._reader.fetch_buckets = racing_fetch
         cached.execute(query)
-        cached._fetch = original_fetch
+        cached._reader.fetch_buckets = original_fetch
         assert len(cached) == 0  # stale fill was skipped
         got = cached.execute(query)  # a miss again, now cacheable
         assert cached.stats.misses == 2
@@ -215,16 +215,16 @@ class TestWriteAwareness:
         other = next(
             v for v in range(32) if pf.query({0: v}).values[0] != target
         )
-        original_fetch = cached._fetch
+        original_fetch = cached._reader.fetch_buckets
 
         def racing_fetch(q):
-            entry = original_fetch(q)
+            fetched = original_fetch(q)
             pf.insert((other, "elsewhere"))  # disjoint bucket: entry stays
-            return entry
+            return fetched
 
-        cached._fetch = racing_fetch
+        cached._reader.fetch_buckets = racing_fetch
         cached.execute(query)
-        cached._fetch = original_fetch
+        cached._reader.fetch_buckets = original_fetch
         assert len(cached) == 1
         cached.execute(query)
         assert cached.stats.exact_hits == 1

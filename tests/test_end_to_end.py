@@ -10,11 +10,11 @@ import pytest
 from repro.core.fx import FXDistribution
 from repro.distribution.modulo import ModuloDistribution
 from repro.distribution.replicated import ChainedReplicaScheme
+from repro.engine import BatchEngine
 from repro.hashing.fields import FileSystem
 from repro.query.box import BoxQuery
 from repro.query.partial_match import PartialMatchQuery
 from repro.query.workload import QueryWorkload, WorkloadSpec
-from repro.storage.batch import BatchExecutor
 from repro.storage.btree_store import BTreeBucketStore
 from repro.storage.cache import CachedExecutor
 from repro.storage.executor import QueryExecutor
@@ -50,9 +50,9 @@ class TestMigrationWithCache:
             for q in queries
         ]
         Migration(pf, FXDistribution(FS)).apply()
-        report = BatchExecutor(pf).execute(queries)
-        for expected, got in zip(single_before, report.records_per_query):
-            assert sorted(map(str, got)) == expected
+        report = BatchEngine(pf).execute(queries)
+        for expected, got in zip(single_before, report.results):
+            assert sorted(map(str, got.records)) == expected
 
 
 class TestStoresUnderLoad:

@@ -7,9 +7,8 @@ records in the same order, same per-device counts, same modelled times —
 with only the ``mode`` provenance marker differing.  These tests pin that
 contract with randomized property tests over filesystems, methods, query
 mixes and interleaved writes, then cover the satellite surfaces: packed
-signatures, dedupe/subsumption in the planner, zero-copy packed stores,
-the batched cache path, the micro-batching service and the batched
-optimality checker.
+signatures, zero-copy packed stores, the batched cache path, the
+micro-batching service and the batched optimality checker.
 """
 
 import random
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import BatchEngine, BatchExecutor, make_method
+from repro import BatchEngine, make_method
 from repro.core.inverse import bucket_strides, separable_qualified_flat_batch
 from repro.durability.checksummed_store import PackedChecksummedStore
 from repro.engine.signature import dedupe_queries, pack_queries, pack_query
@@ -28,7 +27,6 @@ from repro.obs import reset_telemetry
 from repro.obs.checker import ObservedOptimalityChecker
 from repro.query.partial_match import PartialMatchQuery
 from repro.service.frontend import QueryService, ServiceConfig
-from repro.storage.batch import BatchPlanner
 from repro.storage.cache import CachedExecutor
 from repro.storage.executor import QueryExecutor
 from repro.storage.paged_store import PackedPageStore, PagedBucketStore
@@ -204,38 +202,6 @@ class TestBatchKernel:
                     assert flat[offset : offset + take].tolist() == expected
                     offset += take
             assert offset == flat.size
-
-
-class TestPlannerDedupe:
-    def test_duplicates_and_subsumption_counted(self):
-        method = make_method("fx", fields=(8, 4), devices=4)
-        pf = PartitionedFile(method)
-        rng = random.Random(5)
-        for __ in range(100):
-            pf.insert((rng.randrange(8), rng.randrange(4)))
-        full = pf.query({})
-        narrow = pf.query({0: 3})
-        planner = BatchPlanner(method)
-        plan = planner.plan([full, narrow, narrow, pf.query({0: 3, 1: 1})])
-        assert plan.duplicates_removed == 1
-        assert plan.derived_from_subsumer == 2  # both narrow queries' slots
-        serial = QueryExecutor(pf)
-        report = BatchExecutor(pf).execute([full, narrow, narrow])
-        for q, records in zip([full, narrow, narrow], report.records_per_query):
-            assert sorted(map(str, records)) == sorted(
-                map(str, serial.execute(q).records)
-            )
-
-    @given(engine_cases())
-    @settings(max_examples=20, deadline=None)
-    def test_batch_executor_unchanged_by_dedupe(self, case):
-        pf, queries = case
-        serial = QueryExecutor(pf)
-        report = BatchExecutor(pf).execute(queries)
-        for query, records in zip(queries, report.records_per_query):
-            assert sorted(map(str, records)) == sorted(
-                map(str, serial.execute(query).records)
-            )
 
 
 class TestPackedStores:

@@ -447,8 +447,7 @@ class TestObsCli:
         assert main(argv) == 0
         out = capsys.readouterr().out.splitlines()
         assert 0 < len(out) <= 3
-        assert any("batch.plan" in line or "query.execute" in line
-                   for line in out)
+        assert any("query.execute" in line for line in out)
 
     def test_check_strict_optimal_exit_zero(self, capsys):
         argv = self.BASE[:1] + ["check"] + self.BASE[1:]

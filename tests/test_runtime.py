@@ -6,6 +6,7 @@ from repro.core.fx import FXDistribution
 from repro.distribution.replicated import ChainedReplicaScheme
 from repro.errors import ConfigurationError
 from repro.hashing.fields import FileSystem
+from repro.query.box import BoxQuery
 from repro.query.workload import QueryWorkload, WorkloadSpec
 from repro.runtime import (
     DegradedExecutor,
@@ -14,6 +15,7 @@ from repro.runtime import (
     FaultPlan,
     RetryPolicy,
 )
+from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
 from repro.storage.replicated_file import ReplicatedFile
 from repro.storage.simulator import poisson_arrivals
@@ -21,6 +23,13 @@ from repro.storage.simulator import poisson_arrivals
 FS = FileSystem.of(8, 8, m=8)
 
 RECORDS = [(3 * i % 256, 7 * i % 256) for i in range(48)]
+
+#: Range, IN-list and mixed box queries over hashed values.
+BOXES = [
+    BoxQuery.from_spec(FS, {0: (1, 3)}),
+    BoxQuery.from_spec(FS, {0: [0, 5], 1: (2, 6)}),
+    BoxQuery.from_spec(FS, {1: [1, 4, 7]}),
+]
 
 
 def _replicated_file():
@@ -146,6 +155,13 @@ class TestDegradedExecutorFailover:
                 assert got.completeness == 1.0
                 assert got.lost_buckets == 0
                 compared += len(want.records)
+            for box in BOXES:
+                want = clean.execute_box(box)
+                got = masked.execute_box(box)
+                assert got.records == want.records
+                assert got.completeness == 1.0
+                assert got.lost_buckets == 0
+                compared += len(want.records)
             assert compared > 0  # the scenario must actually read data
 
     def test_failover_matches_plain_executor_order(self):
@@ -193,6 +209,14 @@ class TestDegradedExecutorFailover:
             assert got.records == want.records
             assert got.completeness == 1.0
             assert got.retries == got.timeouts == got.failovers == 0
+        oracle = QueryExecutor(pf)
+        for box in BOXES:
+            want = oracle.execute_box(box)
+            got = runtime.execute_box(box)
+            assert got.records and got.records == want.records
+            assert got.buckets_per_device == want.buckets_per_device
+            assert got.response_time_ms == want.response_time_ms
+            assert got.completeness == 1.0
 
     def test_to_dict_includes_fault_diagnostics(self):
         runtime = DegradedExecutor(

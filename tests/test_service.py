@@ -14,6 +14,7 @@ import pytest
 from repro import obs
 from repro.api import make_service
 from repro.core.fx import FXDistribution
+from repro.durability.checksummed_store import ChecksummedBucketStore
 from repro.errors import ConfigurationError
 from repro.hashing.fields import FileSystem
 from repro.query.partial_match import PartialMatchQuery
@@ -27,6 +28,7 @@ from repro.service import (
 )
 from repro.service.admission import ADMITTED, SHED, TIMEOUT
 from repro.storage.bucket_store import BucketStore
+from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
 
 FS = FileSystem.of(8, 8, m=4)
@@ -311,6 +313,34 @@ class TestCoalescing:
         for thread in threads:
             thread.join()
         assert sorted(versions) == list(range(1, 201))
+
+
+class TestSingleQueryFetch:
+    @pytest.mark.parametrize("cache_capacity", [64, None])
+    @pytest.mark.parametrize(
+        "store_factory", [BucketStore, ChecksummedBucketStore]
+    )
+    def test_miss_reads_each_bucket_once(
+        self, monkeypatch, store_factory, cache_capacity
+    ):
+        service = _service(store_factory, cache_capacity=cache_capacity)
+        pf = service.file
+        query = pf.query({0: 3})
+        reads = []
+        records_in = BucketStore.records_in
+
+        def counting(store, bucket):
+            reads.append(bucket)
+            return records_in(store, bucket)
+
+        monkeypatch.setattr(BucketStore, "records_in", counting)
+        before = sum(device.stats.bucket_reads for device in pf.devices)
+        result = service.execute(query)
+        assert result.cache_hit == ("miss" if cache_capacity else "")
+        assert len(reads) == query.qualified_count
+        after = sum(device.stats.bucket_reads for device in pf.devices)
+        assert after - before == query.qualified_count
+        assert result.records == QueryExecutor(pf).execute(query).records
 
 
 # ----------------------------------------------------------------------

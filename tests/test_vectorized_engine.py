@@ -22,11 +22,12 @@ from repro.distribution.search import (
     exhaustive_assignment_search,
     hill_climb_assignment_search,
 )
+from repro.engine import ArrayBatchPlanner, BatchEngine
 from repro.errors import DistributionError
 from repro.hashing.fields import FileSystem
 from repro.query.partial_match import PartialMatchQuery
 from repro.query.patterns import all_patterns, representative_query
-from repro.storage.batch import BatchExecutor, BatchPlanner
+from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
 
 
@@ -177,52 +178,29 @@ class TestParallelSweeps:
 
 
 class TestBatchPlanner:
+    """Batch planning through ``ArrayBatchPlanner`` and the batch engine."""
+
     def _loaded(self, fs):
         pf = PartitionedFile(FXDistribution(fs))
         pf.insert_all([(i, f"n{i % 9}") for i in range(80)])
         return pf
 
-    def test_groups_queries_by_pattern(self):
-        fs = FileSystem.of(4, 8, m=4)
-        pf = self._loaded(fs)
-        queries = [
-            pf.query({0: 1}),
-            pf.query({1: "n2"}),
-            pf.query({0: 3}),   # same pattern as the first
-        ]
-        plan = BatchPlanner(pf.method).plan(queries)
-        assert plan.pattern_groups == {
-            frozenset({1}): [0, 2],
-            frozenset({0}): [1],
-        }
-        assert set(plan.expected_device_loads) == set(plan.pattern_groups)
-        # Shape-only histogram: totals match the group's qualified count.
-        for pattern, loads in plan.expected_device_loads.items():
-            query = queries[plan.pattern_groups[pattern][0]]
-            assert sum(loads) == query.qualified_count
-
     def test_plan_reads_match_execution(self):
         fs = FileSystem.of(4, 8, m=4)
         pf = self._loaded(fs)
         queries = [pf.query({0: 1}), PartialMatchQuery.full_scan(fs)]
-        executor = BatchExecutor(pf)
-        plan = executor.plan(queries)
-        report = executor.execute(queries)
-        assert plan.bucket_reads == report.bucket_reads
-        assert plan.naive_bucket_reads == report.naive_bucket_reads
+        plan = ArrayBatchPlanner(pf.method).plan(queries)
+        report = BatchEngine(pf).execute(queries)
+        assert plan.unique_reads == report.unique_reads
+        assert plan.naive_bucket_reads == report.naive_reads
 
     def test_batch_records_match_single_query_execution(self):
         fs = FileSystem.of(4, 8, m=4)
         pf = self._loaded(fs)
         queries = [pf.query({0: 1}), pf.query({1: "n3"}), pf.query({0: 1})]
-        report = BatchExecutor(pf).execute(queries)
-        from repro.storage.executor import QueryExecutor
-
-        for query, batch_records in zip(queries, report.records_per_query):
-            single = QueryExecutor(pf).execute(query)
-            assert sorted(map(str, batch_records)) == sorted(
-                map(str, single.records)
-            )
+        report = BatchEngine(pf).execute(queries)
+        for query, result in zip(queries, report.results):
+            assert result.records == QueryExecutor(pf).execute(query).records
 
     def test_non_separable_method_falls_back(self):
         from repro.distribution.random_alloc import RandomDistribution
@@ -231,7 +209,7 @@ class TestBatchPlanner:
         pf = PartitionedFile(RandomDistribution(fs, seed=3))
         pf.insert_all([(i, f"n{i % 5}") for i in range(40)])
         queries = [pf.query({0: 1}), pf.query({0: 1})]
-        report = BatchExecutor(pf).execute(queries)
+        report = BatchEngine(pf).execute(queries)
         assert report.sharing_factor == pytest.approx(2.0)
-        plan = BatchExecutor(pf).plan(queries)
-        assert plan.expected_device_loads == {}
+        single = QueryExecutor(pf).execute(queries[0])
+        assert [r.records for r in report.results] == [single.records] * 2
