@@ -47,7 +47,11 @@ class PartialMatchQuery:
             if value is None:
                 continue
             size = self.filesystem.field_sizes[i]
-            if not isinstance(value, int) or not 0 <= value < size:
+            if (
+                not isinstance(value, int)
+                or isinstance(value, bool)
+                or not 0 <= value < size
+            ):
                 raise QueryError(
                     f"field {i} value {value!r} outside domain [0, {size})"
                 )
@@ -62,7 +66,9 @@ class PartialMatchQuery:
         """Build a query from ``{field_index: hashed_value}``."""
         values: list[int | None] = [UNSPECIFIED] * filesystem.n_fields
         for field_index, value in specified.items():
-            if not 0 <= field_index < filesystem.n_fields:
+            if isinstance(field_index, bool) or not (
+                0 <= field_index < filesystem.n_fields
+            ):
                 raise QueryError(f"no field {field_index}")
             values[field_index] = value
         return cls(filesystem, tuple(values))

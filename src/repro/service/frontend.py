@@ -8,8 +8,8 @@ executor into something that can take traffic from many threads at once:
   ``ServiceResult(status="shed")`` instead of an unbounded queue,
 * **request coalescing** — concurrent identical (or subsumed) queries
   share one device round-trip: the first becomes the *leader* and
-  fetches, the rest wait on its in-flight entry and filter its
-  bucket-grouped result,
+  fetches, the rest wait on its in-flight entry and assemble their
+  records from its bucket-grouped result,
 * **a write-aware result cache** — the thread-safe
   :class:`~repro.storage.cache.CachedExecutor`, invalidated selectively
   by the file's write notifications, and
@@ -110,6 +110,10 @@ class ServiceConfig:
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ConfigurationError(
                 f"deadline_ms must be positive, got {self.deadline_ms}"
+            )
+        if self.cache_capacity is not None and self.cache_capacity < 1:
+            raise ConfigurationError(
+                f"cache_capacity must be >= 1, got {self.cache_capacity}"
             )
         if self.batch_max_size is not None and self.batch_max_size < 1:
             raise ConfigurationError(

@@ -7,8 +7,8 @@ wraps :class:`~repro.storage.executor.QueryExecutor` with an LRU cache keyed
 by query and consulted through :func:`repro.query.algebra.subsumes`.
 
 Cache entries store ``(bucket, records)`` pairs, so answering a subsumed
-query is a dictionary-free scan of the cached buckets against the narrower
-predicate — no rehashing of records required.
+query looks up the narrower query's qualified buckets ``R(q)`` in the
+entry — no rehashing of records required.
 
 Consistency contract
 --------------------
@@ -54,6 +54,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from threading import RLock
 from typing import TYPE_CHECKING
 
@@ -116,10 +117,10 @@ class CachedLookup:
     """One resolved lookup: bucket-grouped records plus provenance.
 
     ``buckets`` holds the *entry*'s buckets (possibly broader than the
-    query on a subsumption hit) — callers filter with ``query.matches``.
-    ``version`` is the file write version the records reflect; ``hit`` is
-    ``"exact"``, ``"subsumption"`` or ``"miss"``, and ``""`` for a read
-    that had no cache to consult (an uncached
+    query on a subsumption hit) — :meth:`collect` assembles a query's
+    records from them.  ``version`` is the file write version the records
+    reflect; ``hit`` is ``"exact"``, ``"subsumption"`` or ``"miss"``, and
+    ``""`` for a read that had no cache to consult (an uncached
     :class:`~repro.service.frontend.QueryService`).
     """
 
@@ -130,12 +131,26 @@ class CachedLookup:
 
     def collect(self, query: PartialMatchQuery | None = None) -> list[object]:
         """Records of *query* (default: the looked-up query) from the
-        cached buckets."""
+        cached buckets.
+
+        When the buckets are exactly *query*'s (an exact hit, a miss, an
+        uncached read, or a coalesced follower asking the leader's own
+        query) they concatenate in entry order, the serial oracle's.  When
+        a broader entry answers (a subsumption hit, or a narrower
+        follower) each qualified bucket of *query* is looked up in it, so
+        the records come in ``R(q)``'s row-major order and the read costs
+        ``|R(q)|`` probes, not the entry's size.
+        """
         query = query or self.query
+        if self.hit != "subsumption" and query == self.query:
+            groups = self.buckets.values()
+        else:
+            groups = map(
+                self.buckets.get, query.qualified_buckets(), repeat(())
+            )
         records: list[object] = []
-        for bucket, bucket_records in self.buckets.items():
-            if query.matches(bucket):
-                records.extend(bucket_records)
+        for bucket_records in groups:
+            records.extend(bucket_records)
         return records
 
 

@@ -2,14 +2,19 @@
 
 import random
 import threading
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fx import FXDistribution
+from repro.engine.batch import BatchEngine
 from repro.errors import ConfigurationError
 from repro.hashing.fields import FileSystem
 from repro.query.partial_match import PartialMatchQuery
-from repro.storage.cache import CachedExecutor
+from repro.storage.cache import CachedExecutor, CachedLookup
+from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
 
 FS = FileSystem.of(4, 4, m=4)
@@ -74,6 +79,151 @@ class TestCorrectness:
         got = cached.execute(broad)
         assert cached.stats.misses == 2  # both executions hit the devices
         assert sorted(map(str, got)) == _ground_truth(pf, broad)
+
+
+@st.composite
+def _collect_cases(draw):
+    """A loaded file on a small power-of-two grid, a broad query and a
+    narrower one it subsumes (the broad one with more fields pinned)."""
+    sizes = draw(
+        st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=3)
+    )
+    fs = FileSystem.of(*sizes, m=draw(st.sampled_from([1, 2, 4, 8])))
+    pf = PartitionedFile(FXDistribution(fs))
+    pf.insert_all(
+        draw(
+            st.lists(
+                st.tuples(*(st.integers(0, 15) for __ in sizes)), max_size=40
+            )
+        )
+    )
+    broad = [
+        draw(st.one_of(st.none(), st.integers(0, size - 1))) for size in sizes
+    ]
+    narrow = [
+        value
+        if value is not None
+        else draw(st.one_of(st.none(), st.integers(0, size - 1)))
+        for value, size in zip(broad, sizes)
+    ]
+    return (
+        pf,
+        PartialMatchQuery(fs, tuple(broad)),
+        PartialMatchQuery(fs, tuple(narrow)),
+    )
+
+
+class _CountingBuckets(dict):
+    """An entry's bucket map that counts every bucket it is asked for or
+    hands out."""
+
+    touched = 0
+
+    def get(self, bucket, default=None):
+        self.touched += 1
+        return super().get(bucket, default)
+
+    def __getitem__(self, bucket):
+        self.touched += 1
+        return super().__getitem__(bucket)
+
+    def __contains__(self, bucket):
+        self.touched += 1
+        return super().__contains__(bucket)
+
+    def __iter__(self):
+        for bucket in super().__iter__():
+            self.touched += 1
+            yield bucket
+
+    def values(self):
+        for bucket_records in super().values():
+            self.touched += 1
+            yield bucket_records
+
+    def items(self):
+        for item in super().items():
+            self.touched += 1
+            yield item
+
+
+class TestCollect:
+    """``CachedLookup.collect`` against the serial oracle, for every way a
+    lookup can come about."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_collect_cases())
+    def test_every_provenance_matches_serial_oracle(self, case):
+        pf, broad, narrow = case
+        oracle = {
+            query: QueryExecutor(pf).execute(query).records
+            for query in (broad, narrow)
+        }
+
+        def lookups(query):
+            """(lookup, provenance) for every way *query* can resolve,
+            where the entry's buckets are exactly the query's."""
+            cached = CachedExecutor(pf)
+            miss = cached.lookup(query)
+            exact = cached.lookup(query)
+            batch_miss = CachedExecutor(pf).lookup_batch([query])[0]
+            buckets, version = QueryExecutor(pf).fetch_buckets(query)
+            engine_buckets, engine_version = BatchEngine(pf).fetch_buckets(
+                [query]
+            )
+            return [
+                (miss, "miss"),
+                (exact, "exact"),
+                (batch_miss, "miss"),
+                (CachedLookup(query, buckets, version, ""), ""),
+                (
+                    CachedLookup(
+                        query, engine_buckets[0], engine_version, ""
+                    ),
+                    "",
+                ),
+            ]
+
+        for query in (broad, narrow):
+            for lookup, hit in lookups(query):
+                assert lookup.hit == hit
+                assert lookup.collect() == oracle[query]
+                # A follower asking the leader's own query.
+                assert lookup.collect(query) == oracle[query]
+        for lookup, __ in lookups(broad):
+            # A narrower coalesced follower on a broad leader's lookup.
+            assert Counter(lookup.collect(narrow)) == Counter(oracle[narrow])
+        for batched in (False, True):
+            cached = CachedExecutor(pf)
+            if batched:
+                cached.lookup_batch([broad])
+            else:
+                cached.lookup(broad)
+            hit = cached.lookup(narrow)
+            assert hit.hit == ("exact" if narrow == broad else "subsumption")
+            assert Counter(hit.collect()) == Counter(oracle[narrow])
+            assert Counter(hit.collect(narrow)) == Counter(oracle[narrow])
+
+    @pytest.mark.parametrize("follower", [False, True])
+    def test_broad_entry_read_touches_only_qualified_buckets(self, follower):
+        pf = _loaded()
+        cached = CachedExecutor(pf)
+        broad = PartialMatchQuery.full_scan(FS)
+        narrow = pf.query({0: 5})
+        leader = cached.lookup(broad)
+        lookup = leader if follower else cached.lookup(narrow)
+        assert lookup.hit == ("miss" if follower else "subsumption")
+        counted = CachedLookup(
+            lookup.query,
+            _CountingBuckets(lookup.buckets),
+            lookup.version,
+            lookup.hit,
+        )
+        records = counted.collect(narrow)
+        assert counted.buckets.touched <= narrow.qualified_count
+        assert Counter(records) == Counter(
+            QueryExecutor(pf).execute(narrow).records
+        )
 
 
 class TestLifecycle:

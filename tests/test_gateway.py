@@ -779,6 +779,20 @@ class TestMakeGateway:
                 devices=DEVICES,
             )
 
+    def test_rejects_zero_cache_capacity_eagerly(self):
+        with pytest.raises(ConfigurationError, match="'c'.*cache_capacity"):
+            make_gateway(
+                {"ok": {}, "c": {"service": {"cache_capacity": 0}}},
+                fields=FIELDS,
+                devices=DEVICES,
+            )
+        gateway = make_gateway(
+            {"a": {"service": {"cache_capacity": None}}},
+            fields=FIELDS,
+            devices=DEVICES,
+        )
+        assert gateway.tenants["a"].service.cache is None
+
     def test_requires_fields_and_devices(self):
         with pytest.raises(ConfigurationError):
             make_gateway(["a"])

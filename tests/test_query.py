@@ -37,6 +37,16 @@ class TestPartialMatchQueryConstruction:
         with pytest.raises(QueryError):
             PartialMatchQuery.from_dict(FS, {0: 2})
 
+    def test_bool_value_rejected(self):
+        with pytest.raises(QueryError, match="field 0 value True"):
+            PartialMatchQuery.from_dict(FS, {0: True})
+        with pytest.raises(QueryError):
+            PartialMatchQuery(FS, (None, False, None))
+
+    def test_bool_field_index_rejected(self):
+        with pytest.raises(QueryError, match="no field True"):
+            PartialMatchQuery.from_dict(FS, {True: 2})
+
     def test_wrong_arity(self):
         with pytest.raises(QueryError):
             PartialMatchQuery(FS, (None, None))
