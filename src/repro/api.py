@@ -33,7 +33,7 @@ factory                 adds
                         serving knobs mirroring
                         :class:`~repro.service.ServiceConfig`
                         (admission retry, cache, coalescing,
-                        micro-batching, futures pool)
+                        futures pool)
 :func:`make_gateway`    the same serving knobs as tenant-wide defaults +
                         network knobs mirroring
                         :class:`~repro.gateway.GatewayConfig`
@@ -249,8 +249,6 @@ def make_service(
     admission_retry=None,
     cache_capacity: int | None = 64,
     coalesce: bool = True,
-    batch_max_size: int | None = None,
-    batch_window_ms: float = 2.0,
     submit_workers: int | None = None,
     checksummed: bool = False,
     cost_model=None,
@@ -292,8 +290,6 @@ def make_service(
         admission_retry=admission_retry or RetryPolicy.none(),
         cache_capacity=cache_capacity,
         coalesce=coalesce,
-        batch_max_size=batch_max_size,
-        batch_window_ms=batch_window_ms,
         submit_workers=submit_workers,
     )
     return QueryService(
@@ -313,8 +309,6 @@ SERVICE_OPTION_NAMES = (
     "admission_retry",
     "cache_capacity",
     "coalesce",
-    "batch_max_size",
-    "batch_window_ms",
     "submit_workers",
     "checksummed",
     "cost_model",

@@ -68,8 +68,20 @@ from repro.util.tables import format_table
 __all__ = ["main", "build_parser"]
 
 
+def _parse_numbers(text: str | None, kind: type, what: str) -> list:
+    """A comma-separated list of *kind* numbers; a malformed entry is a
+    :class:`ConfigurationError` (exit 2), not a traceback."""
+    try:
+        return [kind(part) for part in (text or "").split(",") if part]
+    except ValueError:
+        raise ConfigurationError(
+            f"bad {what} {text!r}; expected comma-separated "
+            f"{kind.__name__} values"
+        ) from None
+
+
 def _parse_filesystem(args: argparse.Namespace) -> FileSystem:
-    sizes = [int(part) for part in args.fields.split(",") if part]
+    sizes = _parse_numbers(args.fields, int, "--fields")
     return FileSystem.of(*sizes, m=args.devices)
 
 
@@ -124,7 +136,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     kwargs: dict[str, object] = {}
     if args.method == "gdm":
         kwargs["multipliers"] = tuple(
-            int(part) for part in (args.multipliers or "").split(",") if part
+            _parse_numbers(args.multipliers, int, "--multipliers")
         ) or default_gdm_multipliers(fs.n_fields)
     if args.method == "fx" and args.transforms:
         kwargs["transforms"] = args.transforms.split(",")
@@ -206,7 +218,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_design(args: argparse.Namespace) -> int:
     from repro.hashing.design import design_directory
 
-    probabilities = [float(p) for p in args.probabilities.split(",") if p]
+    probabilities = _parse_numbers(
+        args.probabilities, float, "--probabilities"
+    )
     design = design_directory(
         probabilities,
         total_bits=args.bits,
@@ -370,17 +384,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_device_set(text: str | None) -> frozenset[int]:
-    try:
-        return frozenset(
-            int(part) for part in (text or "").split(",") if part
-        )
-    except ValueError:
-        raise ConfigurationError(
-            f"bad device list {text!r}; expected e.g. 0,3"
-        ) from None
-
-
 def _parse_slow_map(text: str | None) -> dict[int, float]:
     factors: dict[int, float] = {}
     for part in (text or "").split(","):
@@ -403,8 +406,12 @@ def _parse_fault_plan(args: argparse.Namespace, default_fail=""):
 
     return FaultPlan(
         seed=args.seed,
-        failed_devices=_parse_device_set(
-            args.fail if args.fail is not None else default_fail
+        failed_devices=frozenset(
+            _parse_numbers(
+                args.fail if args.fail is not None else default_fail,
+                int,
+                "device list",
+            )
         ),
         transient_error_rate=args.error_rate,
         slow_factors=_parse_slow_map(args.slow),
@@ -1151,8 +1158,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         admission_retry=RetryPolicy(max_attempts=args.retries),
         cache_capacity=None if args.no_cache else args.cache_capacity,
         coalesce=not args.no_coalesce,
-        batch_max_size=args.batch_size,
-        batch_window_ms=args.batch_window_ms,
     )
     initial = _seeded_records(fs, args.records, args.seed)
     service.file.insert_all(initial)
@@ -2084,15 +2089,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-coalesce", action="store_true", dest="no_coalesce",
         help="disable in-flight request coalescing",
-    )
-    serve.add_argument(
-        "--batch-size", type=int, default=None, dest="batch_size",
-        help="micro-batch admitted reads through the array engine, "
-             "at most this many queries per batch (default: off)",
-    )
-    serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0, dest="batch_window_ms",
-        help="how long a batch leader waits for followers (ms)",
     )
     serve.add_argument(
         "--verify", action="store_true",

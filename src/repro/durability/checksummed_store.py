@@ -45,8 +45,6 @@ class ChecksummedBucketStore(BucketStore):
     False
     """
 
-    verifies_reads = True
-
     def __init__(self) -> None:
         super().__init__()
         self._sums: dict[Bucket, int] = {}
@@ -186,8 +184,6 @@ class PackedChecksummedStore(PackedPageStore):
     >>> store.verify_bucket((0,))
     False
     """
-
-    verifies_reads = True
 
     def __init__(self, page_capacity: int = 4):
         super().__init__(page_capacity)

@@ -11,19 +11,26 @@ the whole batch:
 1. *Plan.*  :class:`~repro.engine.plan.ArrayBatchPlanner` dedupes the batch
    by signature, groups it by pattern and solves each group's inverse
    mapping in one NumPy pass, yielding flat int64 bucket addresses per
-   (query, device) plus each device's deduplicated read set.
+   (query, device) plus each device's deduplicated read set.  The engine
+   plans with the file's current method.
 2. *Fetch.*  Under the file's mutation lock (one consistent snapshot) each
-   device's read set is intersected with its *present* set — a sorted flat
-   array cached per write version — and only those buckets are pulled from
-   the local store, once each.
-3. *Assemble.*  Each query's slice is matched into the fetched arrays with
-   ``searchsorted``; records concatenate in the serial order (device 0..M-1,
-   buckets in enumeration order, store insertion order within a bucket).
-   Service times are recomputed from the *planned* per-device counts with
-   the device's own cost model, accumulated in device order, so the floats
-   come out bit-equal to serial execution.
+   device's read set is intersected with its *present* set — the sorted
+   flat addresses of its stored buckets, cached per write version — and
+   the device reads those buckets once each through
+   :meth:`~repro.storage.device.SimulatedDevice.read_grouped`, the read
+   serial execution uses: the same store reads (and CRC checks), device
+   stats and ``storage.*`` counters.
+3. *Match.*  One ``searchsorted`` per device matches every slot's slice
+   against the device's hits and routes each hit back to its slot, so a
+   slot's buckets come out in the serial order (device 0..M-1, buckets in
+   enumeration order, store insertion order within a bucket).
+   :meth:`BatchEngine.execute` concatenates their records and recomputes
+   service times from the *planned* per-device counts with the device's
+   own cost model, accumulated in device order, so the floats come out
+   bit-equal to serial execution; :meth:`BatchEngine.fetch_buckets`
+   returns them as bucket maps.
 
-Failure semantics: a store that verifies reads (e.g.
+Failure semantics: a store that verifies its pages (e.g.
 :class:`~repro.durability.checksummed_store.ChecksummedBucketStore`) raises
 on the first corrupt bucket any query in the batch needs — the batch is one
 operation, so one bad page fails the batch, where serial execution would
@@ -42,6 +49,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -55,6 +63,9 @@ from repro.storage.parallel_file import PartitionedFile
 from repro.util.numbers import ceil_div
 
 __all__ = ["BatchEngine", "BatchExecutionReport"]
+
+#: One slot's fetched buckets: ``(bucket, records)`` pairs in serial order.
+_Hits = list[tuple[Bucket, tuple[object, ...]]]
 
 
 @dataclass
@@ -107,29 +118,14 @@ class _PresentSet:
     ``flats`` is the sorted int64 array of flat addresses; ``buckets[k]``
     is the tuple address of ``flats[k]`` (what the local store is keyed
     by).  Valid for exactly one write version.
-
-    For stores that do *not* verify reads, ``records[k]`` (and
-    ``pages[k]`` when the store is page-aware) snapshot the store's
-    answers at build time, so a fetch is pure list gathers with no
-    per-bucket store calls.  Left ``None`` for verifying stores — their
-    per-read CRC check is part of the contract and must run every batch.
     """
 
-    __slots__ = ("version", "flats", "buckets", "records", "pages")
+    __slots__ = ("version", "flats", "buckets")
 
-    def __init__(
-        self,
-        version: int,
-        flats: np.ndarray,
-        buckets: list[Bucket],
-        records: list[tuple[object, ...]] | None = None,
-        pages: list[int] | None = None,
-    ):
+    def __init__(self, version: int, flats: np.ndarray, buckets: list[Bucket]):
         self.version = version
         self.flats = flats
         self.buckets = buckets
-        self.records = records
-        self.pages = pages
 
 
 class BatchEngine:
@@ -160,47 +156,31 @@ class BatchEngine:
         self, queries: Sequence[PartialMatchQuery]
     ) -> BatchExecutionReport:
         """Run the whole batch in one planning + one fetch pass."""
-        report = BatchExecutionReport(naive_reads=0)
+        report = BatchExecutionReport()
         if not queries:
             return report
         plan_started = _now()
-        plan = self.planner.plan(queries)
+        planner = self._current_planner()
+        plan = planner.plan(queries)
         report.plan_ms = (_now() - plan_started) * 1000.0
         report.naive_reads = plan.naive_bucket_reads
         report.planned_reads = plan.planned_reads
         report.unique_reads = plan.unique_reads
         report.duplicates_removed = plan.duplicates_removed
 
-        with trace_span(
-            "query.batch",
-            queries=len(queries),
-            distinct=len(plan.distinct),
-            planned_reads=plan.planned_reads,
-            unique_reads=plan.unique_reads,
-        ) as span:
+        with _batch_span(plan) as span:
             try:
                 fetch_started = _now()
-                fetched = self._fetch_devices(plan, report)
+                hits, __, report.response_time_ms = self._fetch(plan)
                 report.fetch_ms = (_now() - fetch_started) * 1000.0
-                distinct_results = self._assemble(plan, fetched)
-                report.results = self._fan_out(plan, distinct_results)
             finally:
-                self.planner.recycle(plan)
+                planner.recycle(plan)
+            report.results = self._fan_out(plan, self._assemble(plan, hits))
             span.set_attr("response_ms", round(report.response_time_ms, 6))
             span.set_attr(
                 "sharing_factor", round(report.sharing_factor, 6)
             )
-            span.set_attr(
-                "per_query",
-                [
-                    {
-                        "query": result.query.describe(),
-                        "qualified": result.query.qualified_count,
-                        "buckets_per_device": list(result.buckets_per_device),
-                    }
-                    for result in report.results
-                ],
-            )
+            span.set_attr("per_query", _per_query(plan))
         metrics = telemetry().metrics
         metrics.add("engine.batches")
         metrics.add("engine.queries", len(queries))
@@ -226,56 +206,36 @@ class BatchEngine:
         """
         if not queries:
             return [], self.file.write_version
-        plan = self.planner.plan(queries)
-        report = BatchExecutionReport()
-        with trace_span(
-            "query.batch",
-            queries=len(queries),
-            distinct=len(plan.distinct),
-            planned_reads=plan.planned_reads,
-            unique_reads=plan.unique_reads,
-        ) as span:
+        planner = self._current_planner()
+        plan = planner.plan(queries)
+        with _batch_span(plan) as span:
             try:
-                with self.file.read_locked():
-                    version = self.file.write_version
-                    fetched = self._fetch_locked(plan, report)
+                hits, version, __ = self._fetch(plan)
             finally:
-                self.planner.recycle(plan)
-            span.set_attr(
-                "per_query",
-                [
-                    {
-                        "query": query.describe(),
-                        "qualified": query.qualified_count,
-                        "buckets_per_device": plan.counts[
-                            plan.slot_of[index]
-                        ].tolist(),
-                    }
-                    for index, query in enumerate(queries)
-                ],
-            )
-        distinct_maps: list[dict[Bucket, tuple[object, ...]]] = []
-        for slot in range(len(plan.distinct)):
-            buckets: dict[Bucket, tuple[object, ...]] = {}
-            for device in range(self.file.filesystem.m):
-                flats, device_buckets, records = fetched[device]
-                slice_flats = plan.slices[(slot, device)]
-                if slice_flats.size == 0 or flats.size == 0:
-                    continue
-                positions = np.searchsorted(flats, slice_flats)
-                positions = positions.clip(0, flats.size - 1)
-                valid = flats[positions] == slice_flats
-                for position in positions[valid].tolist():
-                    buckets[device_buckets[position]] = records[position]
-            distinct_maps.append(buckets)
-        return (
-            [dict(distinct_maps[slot]) for slot in plan.slot_of],
-            version,
-        )
+                planner.recycle(plan)
+            span.set_attr("per_query", _per_query(plan))
+        return [dict(hits[slot]) for slot in plan.slot_of], version
+
+    def invalidate(self) -> None:
+        """Drop the cached present sets (after out-of-band store surgery)."""
+        self._present.clear()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _current_planner(self) -> ArrayBatchPlanner:
+        """The planner for the file's current method.
+
+        :meth:`~repro.storage.migration.Migration.apply` swaps the method
+        and moves buckets between devices without advancing the write
+        version, so a method change also drops the present sets.
+        """
+        method = self.file.method
+        if self.planner.method is not method:
+            self.planner = ArrayBatchPlanner(method)
+            self._present.clear()
+        return self.planner
+
     def _present_set(self, device, version: int) -> _PresentSet:
         """The device's stored buckets as a sorted flat array, cached per
         write version (any mutation invalidates by version mismatch).
@@ -301,158 +261,74 @@ class BatchEngine:
             buckets = [buckets[k] for k in order.tolist()]
         else:
             flats = np.empty(0, dtype=np.int64)
-        records = pages = None
-        if buckets and not getattr(store, "verifies_reads", False):
-            # Snapshot the store's answers alongside the addresses: valid
-            # for exactly this write version, and only for stores whose
-            # reads are side-effect free (no per-read CRC to preserve).
-            records = [store.records_in(bucket) for bucket in buckets]
-            if hasattr(store, "pages_in"):
-                pages = [store.pages_in(bucket) for bucket in buckets]
-        present = _PresentSet(version, flats, buckets, records, pages)
+        present = _PresentSet(version, flats, buckets)
         self._present[device.device_id] = present
         return present
 
-    def invalidate(self) -> None:
-        """Drop the cached present sets (after out-of-band store surgery)."""
-        self._present.clear()
+    def _fetch(self, plan: ArrayBatchPlan) -> tuple[list[_Hits], int, float]:
+        """Read each device's needed, stored buckets once and route them
+        to the slots that planned them.
 
-    def _fetch_devices(self, plan: ArrayBatchPlan, report) -> dict:
+        Returns, per distinct slot, its ``(bucket, records)`` pairs in
+        serial order; the write version the reads reflect; and the
+        modelled batch response time — the largest service time a device
+        was charged for its deduplicated read set (page-aware when the
+        store is).
+        """
+        reads = []
+        response = 0.0
         with self.file.read_locked():
-            return self._fetch_locked(plan, report)
-
-    def _fetch_locked(self, plan: ArrayBatchPlan, report) -> dict:
-        """Read each device's deduplicated bucket set once.
-
-        Returns, per device: the sorted flat addresses actually present
-        (needed ∩ stored) with their bucket tuples and fetched record
-        tuples, all three aligned.  Device service time for the
-        batch is modelled over the deduplicated read set, page-aware when
-        the store is.
-        """
-        version = self.file.write_version
-        fetched: dict[int, tuple] = {}
-        for device in self.file.devices:
-            present = self._present_set(device, version)
-            mask = plan.masks.get(device.device_id)
-            if mask is not None and present.flats.size:
-                # Bitmap path: gather the (small, sorted) present set
-                # through the request-membership mask — no search needed.
-                hit_positions = np.flatnonzero(mask[present.flats])
-                hit_flats = present.flats[hit_positions]
-            elif mask is None and present.flats.size:
-                needed = plan.unique_per_device[device.device_id]
-                if needed.size:
-                    positions = np.searchsorted(present.flats, needed)
-                    positions = positions.clip(0, present.flats.size - 1)
-                    valid = present.flats[positions] == needed
-                    hit_flats = needed[valid]
-                    hit_positions = positions[valid]
-                else:
-                    hit_flats = np.empty(0, dtype=np.int64)
-                    hit_positions = np.empty(0, dtype=np.int64)
-            else:
-                hit_flats = np.empty(0, dtype=np.int64)
-                hit_positions = np.empty(0, dtype=np.int64)
-            store = device.store
-            page_aware = hasattr(store, "pages_in")
-            positions_list = hit_positions.tolist()
-            if present.records is not None:
-                # Non-verifying store: the present set snapshots every
-                # bucket's records (and page counts), so the fetch is
-                # pure gathers — no per-bucket store calls.
-                buckets = [present.buckets[p] for p in positions_list]
-                records = [present.records[p] for p in positions_list]
-                returned = sum(map(len, records))
-                if present.pages is not None:
-                    cost_units = sum(
-                        present.pages[p] for p in positions_list
-                    )
-                else:
-                    cost_units = len(buckets)
-            else:
-                buckets = []
-                records = []
-                cost_units = 0
-                returned = 0
-                for position in positions_list:
-                    bucket = present.buckets[position]
-                    bucket_records = store.records_in(bucket)
-                    buckets.append(bucket)
-                    records.append(bucket_records)
-                    returned += len(bucket_records)
-                    if page_aware:
-                        cost_units += store.pages_in(bucket)
-                if not page_aware:
-                    cost_units = len(buckets)
-            device.stats.bucket_reads += len(buckets)
-            device.stats.records_returned += returned
-            service = device.cost_model.service_time(cost_units)
-            device.stats.busy_time_ms += service
-            report.response_time_ms = max(report.response_time_ms, service)
-            fetched[device.device_id] = (hit_flats, buckets, records)
-            if buckets:
-                metrics = telemetry().metrics
-                metrics.add("storage.bucket_reads", len(buckets))
-                metrics.add("storage.records_returned", returned)
-        return fetched
-
-    def _assemble(
-        self, plan: ArrayBatchPlan, fetched: dict
-    ) -> list[ExecutionResult]:
-        """Rebuild each distinct query's serial-identical result.
-
-        Matching is batched per *device*: every slot's slice is matched
-        against the fetched flats in one ``searchsorted``, and each hit is
-        routed back to its slot by its offset in the concatenation.  Hits
-        stay in slice order within a slot, so the records still
-        concatenate in serial enumeration order.
-        """
-        m = self.file.filesystem.m
-        n_slots = len(plan.distinct)
-        hits: dict[tuple[int, int], list] = {}
-        for device in self.file.devices:
-            device_id = device.device_id
-            flats, __, records = fetched[device_id]
-            if not flats.size:
-                continue
+            version = self.file.write_version
+            for device in self.file.devices:
+                present = self._present_set(device, version)
+                read_at = _read_positions(plan, device.device_id, present)
+                buckets = [present.buckets[k] for k in read_at.tolist()]
+                grouped, service = device.read_grouped(buckets)
+                response = max(response, service)
+                if buckets:
+                    flats = present.flats[read_at]
+                    reads.append((device.device_id, flats, buckets, grouped))
+        # Match every slot's slice against each device's hits in one pass:
+        # a hit's offset in the concatenated request stream names its slot,
+        # and slice order is kept.
+        hits: list[_Hits] = [[] for __ in plan.distinct]
+        for device_id, flats, buckets, grouped in reads:
             requested, boundaries = plan.requests[device_id]
-            if not requested.size:
-                continue
             positions = np.minimum(
                 np.searchsorted(flats, requested), flats.size - 1
             )
             valid_at = np.flatnonzero(flats[positions] == requested)
-            if not valid_at.size:
-                continue
             slot_of_hit = np.searchsorted(boundaries, valid_at, side="right")
-            for slot, position in zip(
+            for slot, k in zip(
                 slot_of_hit.tolist(), positions[valid_at].tolist()
             ):
-                hits.setdefault((int(slot), device_id), []).append(
-                    records[position]
-                )
+                hits[slot].append((buckets[k], grouped[k]))
+        return hits, version, response
+
+    def _assemble(
+        self, plan: ArrayBatchPlan, hits: list[_Hits]
+    ) -> list[ExecutionResult]:
+        """Rebuild each distinct query's serial-identical result."""
+        m = self.file.filesystem.m
         results: list[ExecutionResult] = []
         # Service times are a pure function of (device, planned count) and
         # counts repeat heavily across slots — memoise, floats stay
         # bit-equal to per-call computation.
         service_memo: dict[tuple[int, int], float] = {}
-        for slot in range(n_slots):
+        records_of = itemgetter(1)
+        for slot, slot_hits in enumerate(hits):
             query = plan.queries[plan.distinct[slot]]
             result = ExecutionResult(query=query, mode="batched")
+            result.records = list(
+                chain.from_iterable(map(records_of, slot_hits))
+            )
             planned_row = plan.counts[slot].tolist()
             total = 0.0
             response = 0.0
             for device in self.file.devices:
-                device_id = device.device_id
-                bucket_records = hits.get((slot, device_id))
-                if bucket_records:
-                    result.records.extend(
-                        chain.from_iterable(bucket_records)
-                    )
                 # The serial model charges every planned probe, present or
                 # not — identical floats come from identical counts.
-                key = (device_id, planned_row[device_id])
+                key = (device.device_id, planned_row[device.device_id])
                 service = service_memo.get(key)
                 if service is None:
                     service = device.cost_model.service_time(key[1])
@@ -494,3 +370,46 @@ class BatchEngine:
                     )
                 )
         return results
+
+
+def _read_positions(
+    plan: ArrayBatchPlan, device_id: int, present: _PresentSet
+) -> np.ndarray:
+    """Ascending positions in *present* of the buckets the batch needs
+    from the device: its read set ∩ its stored buckets."""
+    if not present.flats.size:
+        return present.flats
+    mask = plan.masks.get(device_id)
+    if mask is not None:
+        # Bitmap path: gather the (small, sorted) present set through the
+        # request-membership mask — no search needed.
+        return np.flatnonzero(mask[present.flats])
+    needed = plan.unique_per_device[device_id]
+    positions = np.minimum(
+        np.searchsorted(present.flats, needed), present.flats.size - 1
+    )
+    return positions[present.flats[positions] == needed]
+
+
+def _batch_span(plan: ArrayBatchPlan):
+    """The ``query.batch`` span of one engine call."""
+    return trace_span(
+        "query.batch",
+        queries=len(plan.queries),
+        distinct=len(plan.distinct),
+        planned_reads=plan.planned_reads,
+        unique_reads=plan.unique_reads,
+    )
+
+
+def _per_query(plan: ArrayBatchPlan) -> list[dict]:
+    """The span's ``per_query`` attribute: what the optimality checker
+    audits for every submitted query, as for a serial span."""
+    return [
+        {
+            "query": query.describe(),
+            "qualified": query.qualified_count,
+            "buckets_per_device": plan.counts[slot].tolist(),
+        }
+        for query, slot in zip(plan.queries, plan.slot_of)
+    ]

@@ -235,7 +235,7 @@ class GatewayClient:
         queries: Sequence[Mapping[int, int]],
         deadline_ms: float | None = None,
     ) -> list[ServiceResult] | list[dict]:
-        """Execute many queries in one frame (one engine micro-batch)."""
+        """Execute many queries in one frame (one engine batch)."""
         body: dict = {
             "queries": [
                 {"specified": {str(k): v for k, v in specified.items()}}

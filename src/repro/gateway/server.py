@@ -6,7 +6,8 @@ a bounded connection count — because the tier underneath
 (:class:`~repro.service.frontend.QueryService`) is itself thread-based;
 the worker consumes **only the futures surface** (``submit`` /
 ``submit_many`` / ``submit_insert``), so a single connection pipelining a
-``batch`` frame rides the engine micro-batching path unchanged.
+``batch`` frame rides the engine's batch path
+(:meth:`~repro.service.frontend.QueryService.submit_many`) unchanged.
 
 Lifecycle:
 

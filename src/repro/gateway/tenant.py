@@ -43,7 +43,7 @@ class TenantSpec:
 
     *fields*/*devices*/*method* describe the tenant's own partitioned
     file; *service* holds extra :func:`repro.api.make_service` keyword
-    options (cache, coalescing, micro-batching, admission retry — the one
+    options (cache, coalescing, admission retry — the one
     shared facade keyword surface).
     """
 

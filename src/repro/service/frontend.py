@@ -75,14 +75,6 @@ class ServiceConfig:
     admission_retry: RetryPolicy = field(default_factory=RetryPolicy.none)
     cache_capacity: int | None = 64
     coalesce: bool = True
-    #: When set, admitted reads drain into micro-batches of at most this
-    #: many queries, planned and executed in one array pass through the
-    #: batch engine (:class:`~repro.engine.batch.BatchEngine`) instead of
-    #: one device round-trip each.  ``None`` keeps the per-query path.
-    batch_max_size: int | None = None
-    #: How long a batch leader waits for followers before executing a
-    #: partial batch.  Zero means "whatever arrived in the same instant".
-    batch_window_ms: float = 2.0
     #: Worker threads behind the futures surface (:meth:`QueryService.submit`).
     #: ``None`` sizes the pool to ``max_concurrent + queue_limit`` so the
     #: pool itself never narrows what admission control would admit or
@@ -115,14 +107,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity}"
             )
-        if self.batch_max_size is not None and self.batch_max_size < 1:
-            raise ConfigurationError(
-                f"batch_max_size must be >= 1, got {self.batch_max_size}"
-            )
-        if self.batch_window_ms < 0:
-            raise ConfigurationError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
         if self.submit_workers is not None and self.submit_workers < 1:
             raise ConfigurationError(
                 f"submit_workers must be >= 1, got {self.submit_workers}"
@@ -145,7 +129,8 @@ class ServiceResult:
     submit_version: int = 0
     #: Did this request share another request's device round-trip?
     coalesced: bool = False
-    #: Was this request executed as part of an engine micro-batch?
+    #: Was this request served as part of an explicit batch
+    #: (:meth:`QueryService.execute_many`)?
     batched: bool = False
     #: Cache provenance: "exact" | "subsumption" | "miss" | "" (uncached
     #: leader fetch or non-ok outcome).
@@ -205,101 +190,6 @@ class _Flight:
         return self._done.wait(timeout_s)
 
 
-class _BatchSlot:
-    """One request waiting for its micro-batch to execute."""
-
-    __slots__ = ("query", "lookup", "error", "size", "leader_context", "_done")
-
-    def __init__(self, query: PartialMatchQuery):
-        self.query = query
-        self.lookup: CachedLookup | None = None
-        self.size: int = 0
-        self.leader_context = None
-        self.error: BaseException | None = None
-        self._done = threading.Event()
-
-    def resolve(self, lookup: CachedLookup, size: int) -> None:
-        self.lookup = lookup
-        self.size = size
-        self._done.set()
-
-    def fail(self, error: BaseException) -> None:
-        self.error = error
-        self._done.set()
-
-    def wait(self, timeout_s: float | None) -> bool:
-        return self._done.wait(timeout_s)
-
-
-class _MicroBatcher:
-    """Drains concurrent admitted reads into engine-sized micro-batches.
-
-    The first request to arrive while no batch is forming becomes the
-    *leader*: it waits up to ``batch_window_ms`` for followers (waking
-    early the moment ``batch_max_size`` queries have gathered), then
-    executes the whole batch in one array pass and resolves every slot.
-    Followers just park on their slot.  Unlike coalescing, the queries
-    need not overlap at all — the engine dedupes whatever sharing exists.
-    """
-
-    def __init__(self, service: "QueryService"):
-        self._service = service
-        self._cond = threading.Condition(threading.Lock())
-        self._pending: list[_BatchSlot] = []
-        self._leader_active = False
-
-    def submit(self, query: PartialMatchQuery) -> tuple[_BatchSlot, bool]:
-        """Enqueue a request; returns its slot and whether to lead."""
-        slot = _BatchSlot(query)
-        with self._cond:
-            self._pending.append(slot)
-            leader = not self._leader_active
-            if leader:
-                self._leader_active = True
-            max_size = self._service.config.batch_max_size
-            if max_size is not None and len(self._pending) >= max_size:
-                self._cond.notify_all()
-        return slot, leader
-
-    def run_leader(self) -> None:
-        """Collect the window's arrivals, execute once, resolve all slots."""
-        config = self._service.config
-        window_s = max(0.0, config.batch_window_ms) / 1000.0
-        cutoff = time.perf_counter() + window_s
-        with self._cond:
-            while (
-                config.batch_max_size is None
-                or len(self._pending) < config.batch_max_size
-            ):
-                remaining = cutoff - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-            max_size = config.batch_max_size or len(self._pending)
-            batch = self._pending[:max_size]
-            self._pending = self._pending[max_size:]
-            # Overflow arrivals already saw an active leader, so none of
-            # them will self-promote: this thread stays leader for them.
-            overflow = bool(self._pending)
-            self._leader_active = overflow
-        leader_context = telemetry().tracer.current_context()
-        try:
-            try:
-                resolved = self._service._execute_batch_queries(
-                    [slot.query for slot in batch]
-                )
-            except BaseException as error:
-                for slot in batch:
-                    slot.fail(error)
-                raise
-            for slot, lookup in zip(batch, resolved):
-                slot.leader_context = leader_context
-                slot.resolve(lookup, len(batch))
-        finally:
-            if overflow:
-                self.run_leader()
-
-
 class QueryService:
     """Thread-safe serving layer over a :class:`PartitionedFile`.
 
@@ -332,11 +222,6 @@ class QueryService:
         )
         self._inflight: dict[PartialMatchQuery, _Flight] = {}
         self._inflight_lock = threading.Lock()
-        self._batcher = (
-            _MicroBatcher(self)
-            if self.config.batch_max_size is not None
-            else None
-        )
         #: Uncached single-query reads; batches go through ``_engine``.
         self._reader = QueryExecutor(partitioned_file)
         self._engine = None
@@ -474,7 +359,7 @@ class QueryService:
         queries: list[PartialMatchQuery],
         deadline_ms: float | None = None,
     ) -> "Future[list[ServiceResult]]":
-        """Asynchronous :meth:`execute_many`: one engine micro-batch, one
+        """Asynchronous :meth:`execute_many`: one engine batch, one
         admission permit, one future resolving to the per-query results."""
         return self._submit_traced(
             self.execute_many, queries, deadline_ms=deadline_ms
@@ -542,8 +427,6 @@ class QueryService:
     def _serve(
         self, query: PartialMatchQuery, start: float, deadline_ms: float | None
     ) -> ServiceResult:
-        if self._batcher is not None:
-            return self._serve_batched(query, start, deadline_ms)
         if not self.config.coalesce:
             lookup = self._fetch(query)
             telemetry().metrics.add("service.leader_fetches")
@@ -586,33 +469,6 @@ class QueryService:
             records=flight.lookup.collect(query),
             write_version=flight.lookup.version,
             coalesced=True,
-        )
-
-    def _serve_batched(
-        self, query: PartialMatchQuery, start: float, deadline_ms: float | None
-    ) -> ServiceResult:
-        """Serve through the micro-batcher (one engine pass per batch)."""
-        metrics = telemetry().metrics
-        slot, leader = self._batcher.submit(query)
-        if leader:
-            self._batcher.run_leader()
-        remaining = self._remaining_s(start, deadline_ms) if not leader else None
-        if not slot.wait(remaining):
-            metrics.add("service.batch_timeouts")
-            return ServiceResult(status=TIMEOUT, query=query, batched=True)
-        if slot.error is not None:
-            raise slot.error
-        metrics.add("service.batched")
-        metrics.observe("service.batch_size", float(slot.size))
-        if not leader:
-            self._link_leader(slot.leader_context)
-        return ServiceResult(
-            status=OK,
-            query=query,
-            records=slot.lookup.collect(),
-            write_version=slot.lookup.version,
-            batched=True,
-            cache_hit=slot.lookup.hit,
         )
 
     def execute_many(

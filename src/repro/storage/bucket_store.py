@@ -34,12 +34,6 @@ def content_digest(buckets: Iterable[tuple[Bucket, tuple]]) -> str:
 class BucketStore:
     """Maps bucket addresses to lists of records on one device."""
 
-    #: True on stores whose :meth:`records_in` performs integrity checks
-    #: (e.g. CRC verification) as a side effect.  Read-path caches must
-    #: not snapshot records from such a store — skipping the per-read
-    #: verification would change its documented failure semantics.
-    verifies_reads = False
-
     def __init__(self) -> None:
         self._buckets: dict[Bucket, list[object]] = {}
         self._record_count = 0

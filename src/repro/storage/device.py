@@ -90,13 +90,16 @@ class SimulatedDevice:
         cost unit is pages read — overflow chains cost extra — otherwise
         it is buckets touched.
         """
-        return list(chain.from_iterable(self.read_grouped(buckets)))
+        return list(chain.from_iterable(self.read_grouped(buckets)[0]))
 
-    def read_grouped(self, buckets: list[Bucket]) -> list[tuple[object, ...]]:
+    def read_grouped(
+        self, buckets: list[Bucket]
+    ) -> tuple[list[tuple[object, ...]], float]:
         """:meth:`read_buckets`, keeping each bucket's records apart.
 
-        Returns one records tuple per bucket, parallel to *buckets*.  Each
-        bucket is read from the store once, with the same accounting.
+        Returns one records tuple per bucket, parallel to *buckets*, and
+        the service time charged for the request.  Each bucket is read
+        from the store once, with the same accounting.
         """
         store = self.store
         grouped = [store.records_in(bucket) for bucket in buckets]
@@ -105,16 +108,17 @@ class SimulatedDevice:
         else:
             cost_units = len(buckets)
         returned = sum(map(len, grouped))
+        service = self.cost_model.service_time(cost_units)
         self.stats.bucket_reads += len(buckets)
         self.stats.records_returned += returned
-        self.stats.busy_time_ms += self.cost_model.service_time(cost_units)
+        self.stats.busy_time_ms += service
         if buckets:
             from repro.obs import telemetry
 
             metrics = telemetry().metrics
             metrics.add("storage.bucket_reads", len(buckets))
             metrics.add("storage.records_returned", returned)
-        return grouped
+        return grouped, service
 
     @property
     def record_count(self) -> int:

@@ -173,7 +173,8 @@ class QueryExecutor(SingleQueryExecutor):
                     assigned = list(
                         method.qualified_on_device(device.device_id, query)
                     )
-                    buckets.update(zip(assigned, device.read_grouped(assigned)))
+                    grouped, __ = device.read_grouped(assigned)
+                    buckets.update(zip(assigned, grouped))
                     buckets_per_device.append(len(assigned))
                 version = self.file.write_version
             span.set_attr("buckets_per_device", buckets_per_device)

@@ -7,10 +7,18 @@ from repro.cli import main
 
 class TestErrorHandling:
     def test_repro_error_exits_with_code_two(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["census", "--fields", "6,4", "--devices", "16"])
-        assert excinfo.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        for argv in (
+            ["census", "--fields", "6,4", "--devices", "16"],
+            # Malformed numbers in a list are typed errors, not tracebacks.
+            ["census", "--fields", "8,x", "--devices", "4"],
+            ["census", "--fields", "8,8", "--devices", "4",
+             "--method", "gdm", "--multipliers", "1,z"],
+            ["design", "--probabilities", "0.5,abc", "--bits", "4"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
+            assert "error:" in capsys.readouterr().err, argv
 
     def test_search_rejects_bad_devices(self):
         with pytest.raises(SystemExit):

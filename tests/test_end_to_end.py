@@ -10,6 +10,7 @@ import pytest
 from repro.core.fx import FXDistribution
 from repro.distribution.modulo import ModuloDistribution
 from repro.distribution.replicated import ChainedReplicaScheme
+from repro.durability.checksummed_store import ChecksummedBucketStore
 from repro.engine import BatchEngine
 from repro.hashing.fields import FileSystem
 from repro.query.box import BoxQuery
@@ -42,17 +43,34 @@ class TestMigrationWithCache:
         pf.check_invariants()
 
     def test_batch_execution_after_migration(self):
-        pf = PartitionedFile(ModuloDistribution(FS))
+        for factory in (None, ChecksummedBucketStore):
+            self._check_batches_after_migration(factory)
+
+    @staticmethod
+    def _check_batches_after_migration(factory):
+        pf = PartitionedFile(ModuloDistribution(FS), store_factory=factory)
         pf.insert_all(RECORDS)
-        queries = [pf.query({0: v}) for v in (1, 5, 13)]
+        queries = [pf.query({0: v}) for v in range(8)]
         single_before = [
             sorted(map(str, QueryExecutor(pf).execute(q).records))
             for q in queries
         ]
+        # An engine and a cache that each served a batch before the swap:
+        # the migration moves buckets without a write, so neither may plan
+        # the old placement or trust its present sets.
+        engine = BatchEngine(pf)
+        engine.execute(queries)
+        cached = CachedExecutor(pf, capacity=8)
+        cached.lookup_batch([pf.query({1: "name-3"})])
         Migration(pf, FXDistribution(FS)).apply()
-        report = BatchEngine(pf).execute(queries)
-        for expected, got in zip(single_before, report.results):
-            assert sorted(map(str, got.records)) == expected
+        fresh = BatchEngine(pf)
+        for report in (fresh.execute(queries), engine.execute(queries)):
+            for expected, got in zip(single_before, report.results):
+                assert sorted(map(str, got.records)) == expected
+        lookups = cached.lookup_batch(queries)
+        for expected, lookup in zip(single_before, lookups):
+            assert lookup.hit == "miss"
+            assert sorted(map(str, lookup.collect())) == expected
 
 
 class TestStoresUnderLoad:

@@ -7,12 +7,12 @@ records in the same order, same per-device counts, same modelled times —
 with only the ``mode`` provenance marker differing.  These tests pin that
 contract with randomized property tests over filesystems, methods, query
 mixes and interleaved writes, then cover the satellite surfaces: packed
-signatures, zero-copy packed stores, the batched cache path, the
-micro-batching service and the batched optimality checker.
+signatures, zero-copy packed stores, the batched cache path, explicit
+service batches and the batched optimality checker.
 """
 
 import random
-import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +20,18 @@ from hypothesis import strategies as st
 
 from repro import BatchEngine, make_method
 from repro.core.inverse import bucket_strides, separable_qualified_flat_batch
-from repro.durability.checksummed_store import PackedChecksummedStore
+from repro.durability.checksummed_store import (
+    ChecksummedBucketStore,
+    PackedChecksummedStore,
+)
+from repro.engine.plan import ArrayBatchPlanner
 from repro.engine.signature import dedupe_queries, pack_queries, pack_query
-from repro.errors import ConfigurationError, CorruptPageError
+from repro.errors import CorruptPageError
 from repro.obs import reset_telemetry
 from repro.obs.checker import ObservedOptimalityChecker
 from repro.query.partial_match import PartialMatchQuery
-from repro.service.frontend import QueryService, ServiceConfig
+from repro.service.frontend import QueryService
+from repro.storage.bucket_store import BucketStore
 from repro.storage.cache import CachedExecutor
 from repro.storage.executor import QueryExecutor
 from repro.storage.paged_store import PackedPageStore, PagedBucketStore
@@ -34,6 +39,8 @@ from repro.storage.parallel_file import PartitionedFile
 
 _METHODS = ["fx", "gdm", "modulo", "random"]
 _SIZES = st.sampled_from([2, 4, 8])
+#: Every store type the engine reads through the device (None = plain).
+_STORES = [None, ChecksummedBucketStore, PackedChecksummedStore]
 
 
 @st.composite
@@ -65,6 +72,23 @@ def engine_cases(draw):
     return pf, queries
 
 
+def stored_records(pf):
+    return [
+        record
+        for device in pf.devices
+        for bucket in device.store.buckets()
+        for record in device.store.records_in(bucket)
+    ]
+
+
+def refile(pf, store_factory):
+    """A copy of *pf* under the same method on *store_factory* stores."""
+    copy = PartitionedFile(pf.method, store_factory=store_factory)
+    for record in stored_records(pf):
+        copy.insert(record)
+    return copy
+
+
 def assert_results_identical(batched, serial):
     """Byte-identity modulo the ``mode`` provenance marker."""
     assert batched.records == serial.records
@@ -90,20 +114,28 @@ class TestEngineByteIdentity:
         for query, result in zip(queries, report.results):
             assert_results_identical(result, serial.execute(query))
 
-    @given(engine_cases())
+    @given(engine_cases(), st.sampled_from(_STORES))
     @settings(max_examples=20, deadline=None)
-    def test_batch_matches_serial_after_interleaved_writes(self, case):
+    def test_batch_matches_serial_after_interleaved_writes(self, case, store):
         pf, queries = case
+        if store is not None:
+            pf = refile(pf, store)
         engine = BatchEngine(pf)
         serial = QueryExecutor(pf)
         engine.execute(queries)  # warm the present-set cache
         sizes = pf.filesystem.field_sizes
         rng = random.Random(7)
-        for __ in range(5):
-            pf.insert(tuple(rng.randrange(s) for s in sizes))
-        report = engine.execute(queries)
-        for query, result in zip(queries, report.results):
-            assert_results_identical(result, serial.execute(query))
+        live = stored_records(pf)
+        for __ in range(6):
+            if live and rng.random() < 0.5:
+                assert pf.delete(live.pop(rng.randrange(len(live))))
+            else:
+                record = tuple(rng.randrange(s) for s in sizes)
+                pf.insert(record)
+                live.append(record)
+            report = engine.execute(queries)
+            for query, result in zip(queries, report.results):
+                assert_results_identical(result, serial.execute(query))
 
     @given(engine_cases())
     @settings(max_examples=20, deadline=None)
@@ -139,6 +171,69 @@ class TestEngineByteIdentity:
         assert report.naive_reads == 2 * q.qualified_count
         assert report.unique_reads == q.qualified_count
         assert report.sharing_factor == 2.0
+
+
+def counting(store_cls):
+    """A *store_cls* subclass that counts ``records_in`` calls per bucket."""
+
+    class CountingStore(store_cls):
+        def __init__(self):
+            super().__init__()
+            self.reads = Counter()
+
+        def records_in(self, bucket):
+            self.reads[tuple(bucket)] += 1
+            return super().records_in(bucket)
+
+    return CountingStore
+
+
+class TestBatchReads:
+    @pytest.mark.parametrize(
+        "store_cls, fields, records, full_scan, bitmap",
+        [
+            (BucketStore, (8, 8, 8), 600, False, True),
+            # Few records in 2^18 buckets, and a full scan that plans all
+            # of them: only the stored ones may be read.
+            (BucketStore, (64, 64, 64), 100, True, True),
+            (ChecksummedBucketStore, (8, 8, 8), 600, False, True),
+            # Read sets deduplicated by sorting instead of bitmaps.
+            (BucketStore, (64, 64, 64), 100, True, False),
+        ],
+        ids=["dense", "sparse", "checksummed", "sparse-sorted"],
+    )
+    def test_batch_reads_each_needed_bucket_once(
+        self, monkeypatch, store_cls, fields, records, full_scan, bitmap
+    ):
+        if not bitmap:
+            monkeypatch.setattr(ArrayBatchPlanner, "BITMAP_DOMAIN_LIMIT", 0)
+        method = make_method("fx", fields=fields, devices=8)
+        pf = PartitionedFile(method, store_factory=counting(store_cls))
+        rng = random.Random(5)
+        for __ in range(records):
+            pf.insert(tuple(rng.randrange(s) for s in fields))
+        queries = [pf.query({1: 3})]
+        for __ in range(6):
+            first, last = rng.randrange(fields[0]), rng.randrange(fields[2])
+            queries.append(pf.query({0: first, 2: last}))
+        if full_scan:
+            queries.append(pf.query({}))
+        engine = BatchEngine(pf)
+        engine.fetch_buckets(queries)
+        pf.insert(tuple(rng.randrange(s) for s in fields))
+        for device in pf.devices:
+            device.store.reads.clear()
+        engine.fetch_buckets(queries)
+        for device in pf.devices:
+            planned = {
+                bucket
+                for query in queries
+                for bucket in method.qualified_on_device(
+                    device.device_id, query
+                )
+            }
+            needed = [b for b in planned if device.store.has_bucket(b)]
+            assert dict(device.store.reads) == dict.fromkeys(needed, 1)
 
 
 class TestSignatures:
@@ -282,13 +377,7 @@ class TestPackedStores:
     @settings(max_examples=15, deadline=None)
     def test_engine_identity_over_packed_store(self, case):
         pf, queries = case
-        packed = PartitionedFile(
-            pf.method, store_factory=PackedChecksummedStore
-        )
-        for device in pf.devices:
-            for bucket in device.store.buckets():
-                for record in device.store.records_in(bucket):
-                    packed.insert(record)
+        packed = refile(pf, PackedChecksummedStore)
         serial = QueryExecutor(packed)
         report = BatchEngine(packed).execute(queries)
         for query, result in zip(queries, report.results):
@@ -348,45 +437,9 @@ class TestBatchedService:
         for __ in range(150):
             pf.insert((rng.randrange(8), rng.randrange(4)))
         serial = QueryExecutor(pf)
-        service = QueryService(pf, ServiceConfig(batch_max_size=8))
+        service = QueryService(pf)
         queries = [pf.query({0: i}) for i in range(8)] + [pf.query({})]
         results = service.execute_many(queries)
-        for query, result in zip(queries, results):
-            assert result.ok and result.batched
-            assert sorted(map(str, result.records)) == sorted(
-                map(str, serial.execute(query).records)
-            )
-
-    def test_concurrent_requests_form_batches(self):
-        method = make_method("fx", fields=(8, 4), devices=4)
-        pf = PartitionedFile(method)
-        rng = random.Random(3)
-        for __ in range(100):
-            pf.insert((rng.randrange(8), rng.randrange(4)))
-        serial = QueryExecutor(pf)
-        service = QueryService(
-            pf,
-            ServiceConfig(
-                batch_max_size=4,
-                batch_window_ms=25.0,
-                max_concurrent=16,
-                queue_limit=64,
-            ),
-        )
-        queries = [pf.query({0: i % 8}) for i in range(12)]
-        results = [None] * len(queries)
-
-        def worker(i):
-            results[i] = service.execute(queries[i])
-
-        threads = [
-            threading.Thread(target=worker, args=(i,))
-            for i in range(len(queries))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
         for query, result in zip(queries, results):
             assert result.ok and result.batched
             assert sorted(map(str, result.records)) == sorted(
@@ -396,21 +449,13 @@ class TestBatchedService:
     def test_batched_reads_observe_completed_writes(self):
         method = make_method("fx", fields=(4, 4), devices=4)
         pf = PartitionedFile(method)
-        service = QueryService(pf, ServiceConfig(batch_max_size=2))
+        service = QueryService(pf)
         q = pf.query({0: 1})
         assert service.execute_many([q])[0].records == []
         __, version = service.insert((1, 2))
         result = service.execute_many([q])[0]
         assert result.records == [(1, 2)]
         assert result.write_version >= version
-
-    def test_batch_config_is_validated(self):
-        method = make_method("fx", fields=(4, 4), devices=4)
-        pf = PartitionedFile(method)
-        with pytest.raises(ConfigurationError):
-            QueryService(pf, ServiceConfig(batch_max_size=0))
-        with pytest.raises(ConfigurationError):
-            QueryService(pf, ServiceConfig(batch_window_ms=-1.0))
 
 
 class TestBatchedChecker:

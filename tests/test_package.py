@@ -21,7 +21,7 @@ from repro.errors import (
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "2.0.1"
+        assert repro.__version__ == "3.0.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
