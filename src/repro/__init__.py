@@ -89,7 +89,7 @@ from repro.storage import (
     ReplicatedFile,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "__version__",

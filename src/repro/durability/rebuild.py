@@ -108,7 +108,7 @@ class DeviceRebuilder:
         report = RebuildReport(device=device_id)
         sources: set[int] = set()
         with trace_span("rebuild.device", device=device_id) as span:
-            target.store.clear()
+            target.clear()
             for partner in self.file.devices:
                 if partner.device_id == device_id:
                     continue
@@ -122,7 +122,7 @@ class DeviceRebuilder:
                             f"rebuild source device {partner.device_id} is "
                             f"corrupt ({error}); scrub before rebuilding"
                         ) from None
-                    target.store.replace_bucket(bucket, records)
+                    target.replace_bucket(bucket, records)
                     sources.add(partner.device_id)
                     report.buckets_restored += 1
                     report.records_restored += len(records)

@@ -233,7 +233,7 @@ class Scrubber:
             )
             return
         records = partner_store.records_in(bucket)
-        self.file.devices[device_id].store.replace_bucket(bucket, records)
+        self.file.devices[device_id].replace_bucket(bucket, records)
         report.repaired_pages += 1
         span.add_event(
             "page.repaired",

@@ -12,18 +12,22 @@ the whole batch:
    by signature, groups it by pattern and solves each group's inverse
    mapping in one NumPy pass, yielding flat int64 bucket addresses per
    (query, device) plus each device's deduplicated read set.  The engine
-   plans with the file's current method.
-2. *Fetch.*  Under the file's mutation lock (one consistent snapshot) each
-   device's read set is intersected with its *present* set — the sorted
-   flat addresses of its stored buckets, cached per write version — and
-   the device reads those buckets once each through
+   plans with the file's current method, under the file's mutation lock,
+   so a migration cannot swap the method between the plan and the reads.
+2. *Fetch.*  Under the same lock (one consistent snapshot) each device's
+   read set is intersected with its *present* set — the sorted flat
+   addresses of its stored buckets, cached per device and rebuilt only
+   when the device's ``epoch`` has moved, so a write rebuilds the present
+   set of the one device it changed — and the device reads those buckets
+   once each through
    :meth:`~repro.storage.device.SimulatedDevice.read_grouped`, the read
    serial execution uses: the same store reads (and CRC checks), device
    stats and ``storage.*`` counters.
-3. *Match.*  One ``searchsorted`` per device matches every slot's slice
-   against the device's hits and routes each hit back to its slot, so a
-   slot's buckets come out in the serial order (device 0..M-1, buckets in
-   enumeration order, store insertion order within a bucket).
+3. *Match.*  Outside the lock, one ``searchsorted`` per device matches
+   every slot's slice against the device's hits and routes each hit back
+   to its slot, so a slot's buckets come out in the serial order
+   (device 0..M-1, buckets in enumeration order, store insertion order
+   within a bucket).
    :meth:`BatchEngine.execute` concatenates their records and recomputes
    service times from the *planned* per-device counts with the device's
    own cost model, accumulated in device order, so the floats come out
@@ -117,13 +121,13 @@ class _PresentSet:
 
     ``flats`` is the sorted int64 array of flat addresses; ``buckets[k]``
     is the tuple address of ``flats[k]`` (what the local store is keyed
-    by).  Valid for exactly one write version.
+    by).  Valid while the device's ``epoch`` still equals ``epoch``.
     """
 
-    __slots__ = ("version", "flats", "buckets")
+    __slots__ = ("epoch", "flats", "buckets")
 
-    def __init__(self, version: int, flats: np.ndarray, buckets: list[Bucket]):
-        self.version = version
+    def __init__(self, epoch: int, flats: np.ndarray, buckets: list[Bucket]):
+        self.epoch = epoch
         self.flats = flats
         self.buckets = buckets
 
@@ -159,22 +163,16 @@ class BatchEngine:
         report = BatchExecutionReport()
         if not queries:
             return report
-        plan_started = _now()
-        planner = self._current_planner()
-        plan = planner.plan(queries)
-        report.plan_ms = (_now() - plan_started) * 1000.0
-        report.naive_reads = plan.naive_bucket_reads
-        report.planned_reads = plan.planned_reads
-        report.unique_reads = plan.unique_reads
-        report.duplicates_removed = plan.duplicates_removed
-
-        with _batch_span(plan) as span:
-            try:
-                fetch_started = _now()
-                hits, __, report.response_time_ms = self._fetch(plan)
-                report.fetch_ms = (_now() - fetch_started) * 1000.0
-            finally:
-                planner.recycle(plan)
+        with trace_span("query.batch", queries=len(queries)) as span:
+            started = _now()
+            plan, hits, __, report.response_time_ms, report.plan_ms = (
+                self._fetch(queries, span)
+            )
+            report.fetch_ms = (_now() - started) * 1000.0 - report.plan_ms
+            report.naive_reads = plan.naive_bucket_reads
+            report.planned_reads = plan.planned_reads
+            report.unique_reads = plan.unique_reads
+            report.duplicates_removed = plan.duplicates_removed
             report.results = self._fan_out(plan, self._assemble(plan, hits))
             span.set_attr("response_ms", round(report.response_time_ms, 6))
             span.set_attr(
@@ -206,49 +204,39 @@ class BatchEngine:
         """
         if not queries:
             return [], self.file.write_version
-        planner = self._current_planner()
-        plan = planner.plan(queries)
-        with _batch_span(plan) as span:
-            try:
-                hits, version, __ = self._fetch(plan)
-            finally:
-                planner.recycle(plan)
+        with trace_span("query.batch", queries=len(queries)) as span:
+            plan, hits, version, __, __ = self._fetch(queries, span)
             span.set_attr("per_query", _per_query(plan))
         return [dict(hits[slot]) for slot in plan.slot_of], version
-
-    def invalidate(self) -> None:
-        """Drop the cached present sets (after out-of-band store surgery)."""
-        self._present.clear()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _current_planner(self) -> ArrayBatchPlanner:
-        """The planner for the file's current method.
+        """The planner for the file's current method
+        (:meth:`~repro.storage.migration.Migration.apply` swaps it).
 
-        :meth:`~repro.storage.migration.Migration.apply` swaps the method
-        and moves buckets between devices without advancing the write
-        version, so a method change also drops the present sets.
+        The present sets survive a method change: their flat encoding
+        depends only on the file system, and the buckets a migration
+        moves advance the epochs of the devices they leave and reach.
         """
         method = self.file.method
         if self.planner.method is not method:
             self.planner = ArrayBatchPlanner(method)
-            self._present.clear()
         return self.planner
 
-    def _present_set(self, device, version: int) -> _PresentSet:
-        """The device's stored buckets as a sorted flat array, cached per
-        write version (any mutation invalidates by version mismatch).
+    def _present_set(self, device) -> _PresentSet:
+        """The device's stored buckets as a sorted flat array, rebuilt
+        only when the device's epoch has moved (every store mutation
+        goes through the device and advances it).
 
         Uses ``tracked_buckets()`` when the store offers it so buckets
         whose page was lost but whose checksum survives are still probed —
         and their corruption surfaced — exactly as a serial read would.
-        Out-of-band store surgery that bypasses the file interface must be
-        followed by :meth:`invalidate`, the same contract as the result
-        cache.
         """
         cached = self._present.get(device.device_id)
-        if cached is not None and cached.version == version:
+        epoch = device.epoch
+        if cached is not None and cached.epoch == epoch:
             return cached
         store = device.store
         tracked = getattr(store, "tracked_buckets", None)
@@ -261,33 +249,51 @@ class BatchEngine:
             buckets = [buckets[k] for k in order.tolist()]
         else:
             flats = np.empty(0, dtype=np.int64)
-        present = _PresentSet(version, flats, buckets)
+        present = _PresentSet(epoch, flats, buckets)
         self._present[device.device_id] = present
         return present
 
-    def _fetch(self, plan: ArrayBatchPlan) -> tuple[list[_Hits], int, float]:
-        """Read each device's needed, stored buckets once and route them
-        to the slots that planned them.
+    def _fetch(
+        self, queries: Sequence[PartialMatchQuery], span
+    ) -> tuple[ArrayBatchPlan, list[_Hits], int, float, float]:
+        """Plan *queries*, read each device's needed, stored buckets once
+        and route them to the slots that planned them.
 
-        Returns, per distinct slot, its ``(bucket, records)`` pairs in
-        serial order; the write version the reads reflect; and the
+        The method, the plan, the present sets and the reads come from one
+        section under the file's mutation lock, so they all reflect the
+        same placement and write version; matching runs after it.
+
+        Returns the plan; per distinct slot, its ``(bucket, records)``
+        pairs in serial order; the write version the reads reflect; the
         modelled batch response time — the largest service time a device
         was charged for its deduplicated read set (page-aware when the
-        store is).
+        store is); and the planning wall time in ms.
         """
         reads = []
         response = 0.0
         with self.file.read_locked():
-            version = self.file.write_version
-            for device in self.file.devices:
-                present = self._present_set(device, version)
-                read_at = _read_positions(plan, device.device_id, present)
-                buckets = [present.buckets[k] for k in read_at.tolist()]
-                grouped, service = device.read_grouped(buckets)
-                response = max(response, service)
-                if buckets:
-                    flats = present.flats[read_at]
-                    reads.append((device.device_id, flats, buckets, grouped))
+            started = _now()
+            planner = self._current_planner()
+            plan = planner.plan(queries)
+            plan_ms = (_now() - started) * 1000.0
+            span.set_attr("distinct", len(plan.distinct))
+            span.set_attr("planned_reads", plan.planned_reads)
+            span.set_attr("unique_reads", plan.unique_reads)
+            try:
+                version = self.file.write_version
+                for device in self.file.devices:
+                    present = self._present_set(device)
+                    read_at = _read_positions(plan, device.device_id, present)
+                    buckets = [present.buckets[k] for k in read_at.tolist()]
+                    grouped, service = device.read_grouped(buckets)
+                    response = max(response, service)
+                    if buckets:
+                        flats = present.flats[read_at]
+                        reads.append(
+                            (device.device_id, flats, buckets, grouped)
+                        )
+            finally:
+                planner.recycle(plan)
         # Match every slot's slice against each device's hits in one pass:
         # a hit's offset in the concatenated request stream names its slot,
         # and slice order is kept.
@@ -303,7 +309,7 @@ class BatchEngine:
                 slot_of_hit.tolist(), positions[valid_at].tolist()
             ):
                 hits[slot].append((buckets[k], grouped[k]))
-        return hits, version, response
+        return plan, hits, version, response, plan_ms
 
     def _assemble(
         self, plan: ArrayBatchPlan, hits: list[_Hits]
@@ -389,17 +395,6 @@ def _read_positions(
         np.searchsorted(present.flats, needed), present.flats.size - 1
     )
     return positions[present.flats[positions] == needed]
-
-
-def _batch_span(plan: ArrayBatchPlan):
-    """The ``query.batch`` span of one engine call."""
-    return trace_span(
-        "query.batch",
-        queries=len(plan.queries),
-        distinct=len(plan.distinct),
-        planned_reads=plan.planned_reads,
-        unique_reads=plan.unique_reads,
-    )
 
 
 def _per_query(plan: ArrayBatchPlan) -> list[dict]:

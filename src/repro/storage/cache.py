@@ -387,13 +387,11 @@ class CachedExecutor:
 
         Kept as the manual escape hatch for mutations that bypass the file
         interface (writes through ``insert``/``delete`` invalidate
-        automatically).  Also drops the batch engine's cached present
-        sets, which share this escape-hatch contract.
+        automatically).  The batch engine needs no such hatch: it rebuilds
+        a device's present set whenever the device's epoch has moved.
         """
         with self._lock:
             self._entries.clear()
-        if self._engine is not None:
-            self._engine.invalidate()
 
     def close(self) -> None:
         """Detach from the file's write notifications (long-lived files

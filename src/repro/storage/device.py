@@ -9,6 +9,7 @@ inverse mapping and local retrieval independently.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 
@@ -60,6 +61,10 @@ class SimulatedDevice:
         # (repro.storage.btree_store) is the ordered alternative.
         self.store = store if store is not None else BucketStore()
         self.stats = DeviceStats()
+        #: Advances after every change to :attr:`store`, so a reader that
+        #: caches what the store holds revalidates by comparing epochs.
+        #: Every store mutation goes through this device.
+        self.epoch = 0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -71,12 +76,27 @@ class SimulatedDevice:
             )
         self.store.insert(bucket, record)
         self.stats.inserts += 1
+        self.epoch += 1
 
     def delete(self, bucket: Bucket, record: object) -> bool:
         removed = self.store.delete(bucket, record)
         if removed:
             self.stats.deletes += 1
+            self.epoch += 1
         return removed
+
+    def replace_bucket(
+        self, bucket: Bucket, records: Iterable[object]
+    ) -> None:
+        """Set the exact contents of *bucket* (the repair and rebuild
+        path)."""
+        self.store.replace_bucket(bucket, records)
+        self.epoch += 1
+
+    def clear(self) -> None:
+        """Drop every stored bucket (media loss)."""
+        self.store.clear()
+        self.epoch += 1
 
     # ------------------------------------------------------------------
     # Retrieval

@@ -154,13 +154,13 @@ class QueryExecutor(SingleQueryExecutor):
         :meth:`repro.engine.batch.BatchEngine.fetch_buckets`.
 
         Every qualified bucket maps to its records (``()`` when empty) and
-        is read from its store once.  The read runs under the file's
-        mutation lock, so the snapshot is a well-defined write-version
-        prefix, never a torn mix with a concurrent insert.  The
+        is read from its store once.  The read, and the choice of method
+        that places the buckets, run under the file's mutation lock, so
+        the snapshot is a well-defined write-version prefix, never a torn
+        mix with a concurrent insert or migration.  The
         ``query.execute`` span carries the query, its qualified count and
         the per-device bucket counts.
         """
-        method = self.method
         buckets: dict[Bucket, tuple[object, ...]] = {}
         buckets_per_device = []
         with trace_span(
@@ -169,6 +169,7 @@ class QueryExecutor(SingleQueryExecutor):
             qualified=query.qualified_count,
         ) as span:
             with self.file.read_locked():
+                method = self.method
                 for device in self.file.devices:
                     assigned = list(
                         method.qualified_on_device(device.device_id, query)

@@ -210,8 +210,13 @@ class Migration:
 
         Planned fully against the pre-move state before any record moves
         (so buckets arriving on a later device are not re-examined), then
-        executed bucket-at-a-time — an online migration would interleave
-        the execution with queries; the accounting is the same.
+        executed bucket-at-a-time through the devices: each moved record
+        counts as a delete on its origin and an insert on its destination
+        (:class:`~repro.storage.device.DeviceStats`) and advances both
+        devices' epochs.  The whole migration, the method swap included,
+        holds the file's mutation lock, so a read that takes the same lock
+        sees the file entirely before or entirely after it — never a
+        bucket that has left the device its method still names.
 
         With checksummed stores every bucket read verifies its page, so a
         silently corrupted page aborts the migration with
@@ -220,44 +225,46 @@ class Migration:
         """
         from repro.obs import trace_span
 
-        report = MigrationReport()
-        source = self.file.method
-        planned_moves: list[tuple[Bucket, int, int]] = []
-        for device in self.file.devices:
-            for bucket in device.store.buckets():
-                origin = source.device_of(bucket)
-                if origin != device.device_id:
-                    raise StorageError(
-                        f"bucket {bucket} found on device {device.device_id}, "
-                        f"method says {origin}; file is inconsistent"
-                    )
-                destination = self.target.device_of(bucket)
-                if destination == device.device_id:
-                    report.buckets_in_place += 1
-                    report._records_in_place += len(
-                        device.store.records_in(bucket)
-                    )
-                else:
-                    planned_moves.append(
-                        (bucket, device.device_id, destination)
-                    )
-        with trace_span(
-            "migration.apply",
-            planned_moves=len(planned_moves),
-            target=self.target.name or type(self.target).__name__,
-        ) as span:
-            for bucket, origin, destination in planned_moves:
-                origin_device = self.file.devices[origin]
-                records = origin_device.store.records_in(bucket)
-                for record in records:
-                    origin_device.store.delete(bucket, record)
-                    self.file.devices[destination].insert(bucket, record)
-                    if self.wal is not None:
-                        self.wal.append("move", record)
-                report.buckets_moved += 1
-                report.records_moved += len(records)
-                report.moves.append((bucket, origin, destination))
-            self.file.method = self.target
-            span.set_attr("buckets_moved", report.buckets_moved)
-            span.set_attr("records_moved", report.records_moved)
+        with self.file.read_locked():
+            report = MigrationReport()
+            source = self.file.method
+            planned_moves: list[tuple[Bucket, int, int]] = []
+            for device in self.file.devices:
+                for bucket in device.store.buckets():
+                    origin = source.device_of(bucket)
+                    if origin != device.device_id:
+                        raise StorageError(
+                            f"bucket {bucket} found on device "
+                            f"{device.device_id}, method says {origin}; "
+                            "file is inconsistent"
+                        )
+                    destination = self.target.device_of(bucket)
+                    if destination == device.device_id:
+                        report.buckets_in_place += 1
+                        report._records_in_place += len(
+                            device.store.records_in(bucket)
+                        )
+                    else:
+                        planned_moves.append(
+                            (bucket, device.device_id, destination)
+                        )
+            with trace_span(
+                "migration.apply",
+                planned_moves=len(planned_moves),
+                target=self.target.name or type(self.target).__name__,
+            ) as span:
+                for bucket, origin, destination in planned_moves:
+                    origin_device = self.file.devices[origin]
+                    records = origin_device.store.records_in(bucket)
+                    for record in records:
+                        origin_device.delete(bucket, record)
+                        self.file.devices[destination].insert(bucket, record)
+                        if self.wal is not None:
+                            self.wal.append("move", record)
+                    report.buckets_moved += 1
+                    report.records_moved += len(records)
+                    report.moves.append((bucket, origin, destination))
+                self.file.method = self.target
+                span.set_attr("buckets_moved", report.buckets_moved)
+                span.set_attr("records_moved", report.records_moved)
         return report

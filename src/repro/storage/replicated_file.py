@@ -103,7 +103,7 @@ class ReplicatedFile(WriteNotifier):
         chained replicas) brings the device back."""
         if not 0 <= device < self.filesystem.m:
             raise StorageError(f"no device {device}")
-        self.devices[device].store.clear()
+        self.devices[device].clear()
         self._failed.add(device)
 
     @property

@@ -5,6 +5,9 @@ of composition bugs (stale caches after migration, stats after paged
 growth, replication after re-declustering) that unit tests cannot see.
 """
 
+import threading
+from itertools import chain
+
 import pytest
 
 from repro.core.fx import FXDistribution
@@ -12,11 +15,13 @@ from repro.distribution.modulo import ModuloDistribution
 from repro.distribution.replicated import ChainedReplicaScheme
 from repro.durability.checksummed_store import ChecksummedBucketStore
 from repro.engine import BatchEngine
+from repro.engine.plan import ArrayBatchPlanner
 from repro.hashing.fields import FileSystem
 from repro.query.box import BoxQuery
 from repro.query.partial_match import PartialMatchQuery
 from repro.query.workload import QueryWorkload, WorkloadSpec
 from repro.storage.btree_store import BTreeBucketStore
+from repro.storage.bucket_store import BucketStore
 from repro.storage.cache import CachedExecutor
 from repro.storage.executor import QueryExecutor
 from repro.storage.migration import Migration
@@ -27,6 +32,33 @@ from repro.storage.stats import collect_stats
 
 FS = FileSystem.of(4, 8, m=8)
 RECORDS = [(i, f"name-{i % 11}") for i in range(250)]
+
+
+def _records_of(buckets):
+    """The records of a ``fetch_buckets`` bucket map, sorted."""
+    return sorted(map(str, chain.from_iterable(buckets.values())))
+
+
+class _Race:
+    """The other side of a race: started on a second thread the first time
+    it is called, from inside the window under test, and given 0.3 s —
+    enough to run to the end unless it waits for a lock the caller holds.
+    """
+
+    def __init__(self, side):
+        self._side = side
+        self._thread = None
+
+    def __call__(self):
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._side, daemon=True)
+            self._thread.start()
+            self._thread.join(0.3)
+
+    def finish(self):
+        assert self._thread is not None, "the window was never reached"
+        self._thread.join(10.0)
+        assert not self._thread.is_alive()
 
 
 class TestMigrationWithCache:
@@ -71,6 +103,84 @@ class TestMigrationWithCache:
         for expected, lookup in zip(single_before, lookups):
             assert lookup.hit == "miss"
             assert sorted(map(str, lookup.collect())) == expected
+
+    # A read that overlaps ``Migration.apply`` sees the file entirely before
+    # or entirely after it.  Each race test opens one window with a hook,
+    # races the other side through it, and checks the reader's records.
+    @staticmethod
+    def _file():
+        pf = PartitionedFile(ModuloDistribution(FS))
+        pf.insert_all(RECORDS)
+        queries = [pf.query({0: v}) for v in range(8)] + [pf.query({})]
+        expected = [
+            sorted(map(str, QueryExecutor(pf).execute(q).records))
+            for q in queries
+        ]
+        return pf, queries, expected
+
+    def test_reads_wait_for_the_moves_and_the_method_swap(self, monkeypatch):
+        pf, queries, expected = self._file()
+        engine = BatchEngine(pf)
+        engine.fetch_buckets(queries)  # present sets from before the moves
+        got = []
+
+        def read():
+            maps, __ = engine.fetch_buckets(queries)
+            got.append([_records_of(buckets) for buckets in maps])
+            serial = QueryExecutor(pf)
+            got.append(
+                [_records_of(serial.fetch_buckets(q)[0]) for q in queries]
+            )
+
+        race = _Race(read)
+        delete = BucketStore.delete
+
+        def delete_then_read(store, bucket, record):
+            removed = delete(store, bucket, record)
+            race()
+            return removed
+
+        monkeypatch.setattr(BucketStore, "delete", delete_then_read)
+        Migration(pf, FXDistribution(FS)).apply()
+        race.finish()
+        assert got == [expected, expected]
+
+    def test_engine_plans_under_the_lock_it_reads_under(self, monkeypatch):
+        pf, queries, expected = self._file()
+        engine = BatchEngine(pf)
+        engine.fetch_buckets(queries)
+        race = _Race(Migration(pf, FXDistribution(FS)).apply)
+        plan = ArrayBatchPlanner.plan
+
+        def plan_then_migrate(planner, batch):
+            planned = plan(planner, batch)
+            race()
+            return planned
+
+        monkeypatch.setattr(ArrayBatchPlanner, "plan", plan_then_migrate)
+        maps, __ = engine.fetch_buckets(queries)
+        race.finish()
+        assert [_records_of(buckets) for buckets in maps] == expected
+        assert pf.method.name == "fx"
+
+    def test_single_query_fetch_reads_the_method_under_its_lock(
+        self, monkeypatch
+    ):
+        pf, queries, expected = self._file()
+        race = _Race(Migration(pf, FXDistribution(FS)).apply)
+
+        def method_then_migrate(executor):
+            method = executor.file.method
+            race()
+            return method
+
+        monkeypatch.setattr(
+            QueryExecutor, "method", property(method_then_migrate)
+        )
+        buckets, __ = QueryExecutor(pf).fetch_buckets(queries[-1])
+        race.finish()
+        assert _records_of(buckets) == expected[-1]
+        assert pf.method.name == "fx"
 
 
 class TestStoresUnderLoad:

@@ -12,6 +12,8 @@ service batches and the batched optimality checker.
 """
 
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -19,7 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import BatchEngine, make_method
+from repro.api import make_durable_file
+from repro.core.fx import FXDistribution
 from repro.core.inverse import bucket_strides, separable_qualified_flat_batch
+from repro.distribution.modulo import ModuloDistribution
+from repro.durability import DeviceRebuilder, Scrubber
 from repro.durability.checksummed_store import (
     ChecksummedBucketStore,
     PackedChecksummedStore,
@@ -27,6 +33,7 @@ from repro.durability.checksummed_store import (
 from repro.engine.plan import ArrayBatchPlanner
 from repro.engine.signature import dedupe_queries, pack_queries, pack_query
 from repro.errors import CorruptPageError
+from repro.hashing.fields import FileSystem
 from repro.obs import reset_telemetry
 from repro.obs.checker import ObservedOptimalityChecker
 from repro.query.partial_match import PartialMatchQuery
@@ -34,6 +41,7 @@ from repro.service.frontend import QueryService
 from repro.storage.bucket_store import BucketStore
 from repro.storage.cache import CachedExecutor
 from repro.storage.executor import QueryExecutor
+from repro.storage.migration import Migration
 from repro.storage.paged_store import PackedPageStore, PagedBucketStore
 from repro.storage.parallel_file import PartitionedFile
 
@@ -174,17 +182,31 @@ class TestEngineByteIdentity:
 
 
 def counting(store_cls):
-    """A *store_cls* subclass that counts ``records_in`` calls per bucket."""
+    """A *store_cls* subclass that counts ``records_in`` calls per bucket
+    and listings of its stored buckets: ``buckets()`` calls, and
+    ``tracked_buckets()`` calls where *store_cls* has that method."""
 
     class CountingStore(store_cls):
         def __init__(self):
             super().__init__()
             self.reads = Counter()
+            self.listings = 0
 
         def records_in(self, bucket):
             self.reads[tuple(bucket)] += 1
             return super().records_in(bucket)
 
+        def buckets(self):
+            self.listings += 1
+            return super().buckets()
+
+    if hasattr(store_cls, "tracked_buckets"):
+
+        def tracked_buckets(self):
+            self.listings += 1
+            return store_cls.tracked_buckets(self)
+
+        CountingStore.tracked_buckets = tracked_buckets
     return CountingStore
 
 
@@ -220,10 +242,17 @@ class TestBatchReads:
             queries.append(pf.query({}))
         engine = BatchEngine(pf)
         engine.fetch_buckets(queries)
-        pf.insert(tuple(rng.randrange(s) for s in fields))
+        written = method.device_of(
+            pf.insert(tuple(rng.randrange(s) for s in fields))
+        )
         for device in pf.devices:
             device.store.reads.clear()
+            device.store.listings = 0
         engine.fetch_buckets(queries)
+        # The write re-lists the stored buckets of its own device only.
+        assert [device.store.listings for device in pf.devices] == [
+            int(device.device_id == written) for device in pf.devices
+        ]
         for device in pf.devices:
             planned = {
                 bucket
@@ -234,6 +263,106 @@ class TestBatchReads:
             }
             needed = [b for b in planned if device.store.has_bucket(b)]
             assert dict(device.store.reads) == dict.fromkeys(needed, 1)
+
+
+def epochs(file):
+    return [device.epoch for device in file.devices]
+
+
+def advanced(before, file):
+    """The devices whose epoch moved since *before*."""
+    return {d for d, epoch in enumerate(epochs(file)) if epoch != before[d]}
+
+
+class TestDeviceEpochs:
+    """Every store change advances the epochs of exactly the devices it
+    touched: what lets the engine keep a present set per device."""
+
+    def test_record_writes(self):
+        method = make_method("fx", fields=(8, 8), devices=8)
+        pf = PartitionedFile(method)
+        before = epochs(pf)
+        owner = method.device_of(pf.insert((3, 5)))
+        assert advanced(before, pf) == {owner}
+        before = epochs(pf)
+        assert not pf.delete((3, 6))
+        assert advanced(before, pf) == set()
+        assert pf.delete((3, 5))
+        assert advanced(before, pf) == {owner}
+
+    def test_migration_moves(self):
+        fs = FileSystem.of(4, 8, m=8)
+        pf = PartitionedFile(ModuloDistribution(fs))
+        pf.insert_all([(i, f"name-{i % 11}") for i in range(12)])
+        before = epochs(pf)
+        report = Migration(pf, FXDistribution(fs)).apply()
+        touched = {d for __, origin, to in report.moves for d in (origin, to)}
+        assert 0 < len(touched) < fs.m
+        assert advanced(before, pf) == touched
+        for device in pf.devices:
+            stats = device.stats
+            assert stats.inserts - stats.deletes == device.record_count
+
+    def test_scrub_repair(self):
+        durable = make_durable_file("fx", fields=(4, 4), devices=8)
+        durable.insert_all([(i, i % 4) for i in range(48)])
+        store = durable.devices[2].store
+        store.corrupt_bucket(min(store.buckets()), kind="tamper")
+        before = epochs(durable)
+        assert Scrubber(durable.file).sweep().repaired_pages == 1
+        assert advanced(before, durable) == {2}
+
+    def test_device_loss_and_rebuild(self):
+        durable = make_durable_file("fx", fields=(4, 4), devices=8)
+        durable.insert_all([(i, i % 4) for i in range(48)])
+        before = epochs(durable)
+        durable.file.lose_device(3)
+        assert advanced(before, durable) == {3}
+        before = epochs(durable)
+        DeviceRebuilder(durable.file).rebuild(3)
+        assert advanced(before, durable) == {3}
+
+    def test_concurrent_writers_and_readers_share_one_engine(self):
+        """Two readers scan through one engine while two writers insert,
+        with thread switches forced often: every scan must see exactly
+        the records its write version says were inserted."""
+        pf = PartitionedFile(make_method("fx", fields=(16, 16), devices=16))
+        engine = BatchEngine(pf)
+        scan = pf.query({})
+        done = threading.Event()
+        torn = []
+
+        def write(first):
+            for value in range(first, first + 2000):
+                pf.insert((value, value))
+
+        def read():
+            while not done.is_set():
+                (buckets,), version = engine.fetch_buckets([scan])
+                if sum(map(len, buckets.values())) != version:
+                    torn.append(version)
+
+        readers = [threading.Thread(target=read) for __ in range(2)]
+        writers = [
+            threading.Thread(target=write, args=(first,))
+            for first in (0, 2000)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers + writers:
+                thread.start()
+            for thread in writers:
+                thread.join(30.0)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(30.0)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + writers)
+        assert torn == []
+        (buckets,), version = engine.fetch_buckets([scan])
+        assert sum(map(len, buckets.values())) == version == 4000
 
 
 class TestSignatures:
@@ -369,7 +498,6 @@ class TestPackedStores:
             d for d in pf.devices if d.store.has_bucket(bucket)
         )
         device.store.corrupt_bucket(bucket, kind="drop")
-        engine.invalidate()
         with pytest.raises(CorruptPageError):
             engine.execute([pf.query({0: 1})])
 

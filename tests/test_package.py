@@ -1,6 +1,9 @@
-"""Package-level sanity: public API surface and error hierarchy."""
+"""Package-level sanity: public API surface, error hierarchy and the
+rule that only a device mutates its store."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -21,7 +24,7 @@ from repro.errors import (
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "4.0.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -87,3 +90,26 @@ class TestErrorHierarchy:
     def test_library_raises_catchable_base(self):
         with pytest.raises(ReproError):
             repro.FileSystem.of(3, m=4)
+
+
+class TestStoreOwnership:
+    def test_only_the_device_mutates_a_store(self):
+        """Device epochs are sound only if every store mutation goes
+        through :class:`~repro.storage.device.SimulatedDevice`: no other
+        module may call a store's mutators through ``.store``."""
+        mutators = {"insert", "delete", "clear", "replace_bucket"}
+        root = pathlib.Path(repro.__file__).resolve().parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "storage" / "device.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in mutators
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "store"
+                ):
+                    found.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert found == []
