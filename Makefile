@@ -44,7 +44,6 @@ serve:
 	$(PYTHON) -m repro serve --fields 8,8 --devices 8 --records 128 \
 		--clients 8 --requests 40 --write-every 4 --hot-fraction 0.5 \
 		--verify
-	$(PYTHON) benchmarks/bench_service.py --smoke
 
 gateway:
 	$(PYTHON) -m repro gateway --fields 8,8 --devices 8 \
@@ -54,7 +53,6 @@ gateway:
 	$(PYTHON) -m repro gateway --fields 8,8 --devices 8 \
 		--tenants alpha,beta --connections 2 --requests 10 \
 		--preload 4 --quota 20 --verify
-	$(PYTHON) benchmarks/bench_gateway.py --smoke
 
 chaos:
 	$(PYTHON) -m repro chaos --fields 8,8 --devices 8 \

@@ -20,16 +20,10 @@ Quickstart::
 See ``examples/`` for full scenarios and ``benchmarks/`` for the paper's
 tables and figures.
 
-Importing the baseline constructor classes (``ModuloDistribution``,
-``GDMDistribution``, ...) from this top-level package is **deprecated**:
-build methods through :func:`repro.api.make_method` instead.  The old
-names still resolve (with a one-time :class:`DeprecationWarning` per
-name) so existing callers keep working until the next major release.
+Baseline methods are built through :func:`repro.api.make_method`; their
+constructor classes (``ModuloDistribution``, ``GDMDistribution``, ...)
+live in the :mod:`repro.distribution` modules that define them.
 """
-
-import importlib
-import threading
-import warnings
 
 from repro.core.fx import BasicFXDistribution, FXDistribution
 from repro.core.optimality import (
@@ -89,7 +83,7 @@ from repro.storage import (
     ReplicatedFile,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "__version__",
@@ -112,13 +106,7 @@ __all__ = [
     "OptimalityReport",
     # baselines
     "DistributionMethod",
-    "ModuloDistribution",
-    "GDMDistribution",
     "GDM_PRESETS",
-    "RandomDistribution",
-    "SpanningPathDistribution",
-    "ZOrderDistribution",
-    "ChainedReplicaScheme",
     "create_method",
     "available_methods",
     # facade
@@ -154,43 +142,3 @@ __all__ = [
     "LoadSpec",
     "ReproError",
 ]
-
-#: Baseline constructor classes reachable at top level only through the
-#: deprecation shim below — same pattern as :mod:`repro.distribution`.
-_DEPRECATED_CONSTRUCTORS = {
-    "ModuloDistribution": "repro.distribution.modulo",
-    "GDMDistribution": "repro.distribution.gdm",
-    "RandomDistribution": "repro.distribution.random_alloc",
-    "ChainedReplicaScheme": "repro.distribution.replicated",
-    "SpanningPathDistribution": "repro.distribution.spanning",
-    "ZOrderDistribution": "repro.distribution.zorder",
-}
-_warned: set[str] = set()
-#: Concurrent first accesses to one deprecated name must produce exactly
-#: one warning; an unguarded check-then-add races under free threading.
-_warned_lock = threading.Lock()
-
-
-def __getattr__(name: str):
-    module_name = _DEPRECATED_CONSTRUCTORS.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    with _warned_lock:
-        first_use = name not in _warned
-        if first_use:
-            _warned.add(name)
-    if first_use:
-        warnings.warn(
-            f"importing {name} from repro is deprecated; use "
-            f"repro.api.make_method(...) (or import from "
-            f"{module_name} directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED_CONSTRUCTORS))

@@ -81,7 +81,8 @@ def worst_box_search(
     the best single-field move until no move improves.  The incumbent over
     all restarts is returned with its search history.
 
-    >>> from repro import FileSystem, ModuloDistribution
+    >>> from repro import FileSystem
+    >>> from repro.distribution.modulo import ModuloDistribution
     >>> fs = FileSystem.of(8, 8, m=8)
     >>> result = worst_box_search(ModuloDistribution(fs), restarts=2)
     >>> result.factor >= 1.0

@@ -15,9 +15,8 @@ Names cover every registered distribution method plus ``"replicated"``
 (a :class:`~repro.distribution.replicated.ChainedReplicaScheme` over any
 base method).  Unknown options and names raise
 :class:`~repro.errors.ConfigurationError` with the known alternatives
-spelled out.  The old constructor imports still work but are deprecated —
-see ``repro.distribution.__getattr__`` and the matching warn-once shims
-in :mod:`repro` itself.
+spelled out.  The constructor classes themselves are importable only
+from the modules that define them.
 
 The higher tiers stack on the same keyword surface — every factory takes
 ``(name, *, fields=..., devices=..., **method options)`` plus its tier's
@@ -32,8 +31,7 @@ factory                 adds
 :func:`make_service`    the same store options (minus replication) +
                         serving knobs mirroring
                         :class:`~repro.service.ServiceConfig`
-                        (admission retry, cache, coalescing,
-                        futures pool)
+                        (admission retry, cache, coalescing)
 :func:`make_gateway`    the same serving knobs as tenant-wide defaults +
                         network knobs mirroring
                         :class:`~repro.gateway.GatewayConfig`
@@ -249,7 +247,6 @@ def make_service(
     admission_retry=None,
     cache_capacity: int | None = 64,
     coalesce: bool = True,
-    submit_workers: int | None = None,
     checksummed: bool = False,
     cost_model=None,
     **opts: object,
@@ -259,11 +256,10 @@ def make_service(
     admission control, request coalescing and the write-aware result
     cache.
 
-    The serving knobs mirror :class:`~repro.service.ServiceConfig`
-    (``submit_workers`` sizes the futures pool behind
-    :meth:`~repro.service.QueryService.submit`); ``checksummed`` puts
-    :class:`~repro.durability.ChecksummedBucketStore` pages on every
-    device, the same store option :func:`make_durable_file` takes.
+    The serving knobs mirror :class:`~repro.service.ServiceConfig`;
+    ``checksummed`` puts :class:`~repro.durability.ChecksummedBucketStore`
+    pages on every device, the same store option
+    :func:`make_durable_file` takes.
     Remaining keyword options go to the method constructor exactly as in
     :func:`make_method`.  The underlying file is reachable as
     ``service.file`` for loading records.
@@ -290,7 +286,6 @@ def make_service(
         admission_retry=admission_retry or RetryPolicy.none(),
         cache_capacity=cache_capacity,
         coalesce=coalesce,
-        submit_workers=submit_workers,
     )
     return QueryService(
         PartitionedFile(
@@ -309,7 +304,6 @@ SERVICE_OPTION_NAMES = (
     "admission_retry",
     "cache_capacity",
     "coalesce",
-    "submit_workers",
     "checksummed",
     "cost_model",
 )
@@ -326,7 +320,6 @@ def make_gateway(
     max_connections: int = 32,
     max_frame_bytes: int | None = None,
     drain_timeout_s: float = 10.0,
-    include_records: bool = True,
     start: bool = False,
     **service_options: object,
 ):
@@ -429,7 +422,6 @@ def make_gateway(
             else max_frame_bytes
         ),
         drain_timeout_s=drain_timeout_s,
-        include_records=include_records,
     )
     gateway = Gateway(specs, config, service_defaults=service_options)
     if start:

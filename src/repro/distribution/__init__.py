@@ -6,16 +6,11 @@ baselines the paper compares against (Modulo and GDM from Du & Sobolewski
 1982, plus a random allocator and a FaRC86-style spanning-path declusterer)
 and the section-6 extension: searching transform assignments.
 
-Importing the concrete constructor classes from this package is
-**deprecated**: build methods through :func:`repro.api.make_method`
-instead, which covers every registered name behind one signature.  The
-old names still resolve (with a one-time :class:`DeprecationWarning` per
-name) so existing callers keep working until the next major release.
+Build methods through :func:`repro.api.make_method`, which covers every
+registered name behind one signature; the concrete constructor classes
+are imported from the modules that define them (e.g.
+:mod:`repro.distribution.modulo`).
 """
-
-import importlib
-import threading
-import warnings
 
 from repro.distribution.base import (
     DistributionMethod,
@@ -26,8 +21,7 @@ from repro.distribution.base import (
 )
 from repro.distribution.gdm import GDM_PRESETS
 
-# Imported for their registration side-effects; the class names themselves
-# are served lazily (and deprecated) by __getattr__ below.
+# Imported for their registration side-effects.
 from repro.distribution import gdm as _gdm                    # noqa: F401
 from repro.distribution import modulo as _modulo              # noqa: F401
 from repro.distribution import random_alloc as _random_alloc  # noqa: F401
@@ -41,50 +35,5 @@ __all__ = [
     "register_method",
     "create_method",
     "available_methods",
-    "ModuloDistribution",
-    "GDMDistribution",
     "GDM_PRESETS",
-    "RandomDistribution",
-    "ChainedReplicaScheme",
-    "SpanningPathDistribution",
-    "ZOrderDistribution",
 ]
-
-#: Constructor classes reachable here only through the deprecation shim.
-_DEPRECATED_CONSTRUCTORS = {
-    "ModuloDistribution": "repro.distribution.modulo",
-    "GDMDistribution": "repro.distribution.gdm",
-    "RandomDistribution": "repro.distribution.random_alloc",
-    "ChainedReplicaScheme": "repro.distribution.replicated",
-    "SpanningPathDistribution": "repro.distribution.spanning",
-    "ZOrderDistribution": "repro.distribution.zorder",
-}
-_warned: set[str] = set()
-#: Concurrent first accesses to one deprecated name must produce exactly
-#: one warning; an unguarded check-then-add races under free threading.
-_warned_lock = threading.Lock()
-
-
-def __getattr__(name: str):
-    module_name = _DEPRECATED_CONSTRUCTORS.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    with _warned_lock:
-        first_use = name not in _warned
-        if first_use:
-            _warned.add(name)
-    if first_use:
-        warnings.warn(
-            f"importing {name} from repro.distribution is deprecated; "
-            f"use repro.api.make_method(...) (or import from "
-            f"{module_name} directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED_CONSTRUCTORS))

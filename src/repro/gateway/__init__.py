@@ -11,8 +11,8 @@ the socket front end that lets them: a length-framed JSON wire protocol
 accept loop with bounded connections, per-tenant quotas and token-bucket
 rate limits, and graceful drain (:mod:`repro.gateway.server`).
 
-The gateway consumes only the service's futures surface
-(``submit`` / ``submit_many`` / ``submit_insert``);
+Each connection thread serves its own requests through the service's
+blocking calls (``execute`` / ``execute_many`` / ``insert``);
 :class:`~repro.gateway.client.GatewayClient` and the loopback
 multi-tenant load test (:mod:`repro.gateway.loadtest`) close the loop,
 proving zero stale reads by serial replay over traffic that crossed real

@@ -58,6 +58,7 @@ buffered.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 from collections.abc import Mapping
@@ -78,6 +79,7 @@ __all__ = [
     "request",
     "trace_fields",
     "parse_trace",
+    "parse_deadline",
     "ok_response",
     "error_response",
     "query_payload",
@@ -282,6 +284,34 @@ def parse_trace(data: Mapping) -> tuple[int, int | None] | None:
     return trace, parent
 
 
+def parse_deadline(data: Mapping) -> float | None:
+    """A request's optional ``deadline_ms``: ``None`` or a finite float > 0.
+
+    The wire twin of :meth:`~repro.service.frontend.ServiceConfig.validate`'s
+    deadline check; raises :class:`~repro.errors.ProtocolError` for a bool,
+    a non-number, a value <= 0, NaN or infinity.
+
+    >>> parse_deadline({"deadline_ms": 50})
+    50.0
+    >>> parse_deadline({}) is None
+    True
+    """
+    deadline = data.get("deadline_ms")
+    if deadline is None:
+        return None
+    if (
+        not isinstance(deadline, (int, float))
+        or isinstance(deadline, bool)
+        or not math.isfinite(deadline)
+        or deadline <= 0
+    ):
+        raise ProtocolError(
+            f"deadline_ms must be a finite number > 0 or absent, "
+            f"got {deadline!r}"
+        )
+    return float(deadline)
+
+
 def ok_response(request_id, result: Mapping) -> dict:
     return versioned({"id": request_id, "ok": True, "result": dict(result)})
 
@@ -347,9 +377,7 @@ def parse_query(filesystem: FileSystem, body: Mapping) -> PartialMatchQuery:
     return PartialMatchQuery.from_dict(filesystem, parsed)
 
 
-def result_payload(
-    result: ServiceResult, include_records: bool = True
-) -> dict:
+def result_payload(result: ServiceResult) -> dict:
     """One served result on the wire: ``to_dict()`` plus the records.
 
     ``records`` (the count) keeps its :meth:`ServiceResult.to_dict`
@@ -357,8 +385,7 @@ def result_payload(
     client can rebuild a verifiable :class:`ServiceResult`.
     """
     payload = result.to_dict()
-    if include_records:
-        payload["record_values"] = [list(record) for record in result.records]
+    payload["record_values"] = [list(record) for record in result.records]
     return payload
 
 

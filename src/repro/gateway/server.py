@@ -4,10 +4,10 @@
 shape is a threaded accept loop — one worker thread per connection, with
 a bounded connection count — because the tier underneath
 (:class:`~repro.service.frontend.QueryService`) is itself thread-based;
-the worker consumes **only the futures surface** (``submit`` /
-``submit_many`` / ``submit_insert``), so a single connection pipelining a
-``batch`` frame rides the engine's batch path
-(:meth:`~repro.service.frontend.QueryService.submit_many`) unchanged.
+each worker serves its requests in its own thread through the service's
+blocking calls (``execute`` / ``execute_many`` / ``insert``), so a single
+connection pipelining a ``batch`` frame rides the engine's batch path
+(:meth:`~repro.service.frontend.QueryService.execute_many`) unchanged.
 
 Lifecycle:
 
@@ -20,14 +20,16 @@ Lifecycle:
   requests it has already read off the wire (in-flight coalesced leaders
   included — handling is synchronous in the worker, so a leader always
   resolves its flight before the socket closes), then closes sockets and
-  retires the per-tenant service pools.
+  retires the per-tenant services' futures surfaces.
 
 Observability: every request runs under a ``gateway.request`` span that
 *resumes the caller's trace* when the frame carries trace context (the
 span parents under the client's ``trace``/``parent_span`` and is marked
-``remote``), so one request tree crosses the wire.  Outcomes and
-latencies land in the ``gateway.*`` metric family with per-tenant labels
-— ``gateway.ok{tenant=...}`` / ``gateway.shed{tenant=...}`` counters and
+``remote``), so one request tree crosses the wire; the service's own
+spans open in the same thread, as plain children of ``gateway.request``.
+Outcomes and latencies land in the ``gateway.*`` metric family with
+per-tenant labels — ``gateway.ok{tenant=...}`` /
+``gateway.shed{tenant=...}`` counters and
 ``gateway.latency_ms{tenant=...}`` histograms, each also rolled up into
 the bare base series.  The ``{"op": "obs"}`` wire operation serves a
 live snapshot of that registry plus the per-tenant SLO report
@@ -72,9 +74,6 @@ class GatewayConfig:
     accept_backlog: int = 64
     #: Upper bound :meth:`Gateway.drain` waits for workers to finish.
     drain_timeout_s: float = 10.0
-    #: Ship full record tuples in query responses (the remote staleness
-    #: verification needs them; metering-only deployments can turn it off).
-    include_records: bool = True
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
@@ -249,7 +248,7 @@ class Gateway:
         for worker in workers:
             worker.join(timeout=1.0)
         for tenant in self.tenants.values():
-            tenant.shutdown(wait=False)
+            tenant.shutdown()
         self._closed.set()
         telemetry().metrics.add("gateway.aborts")
 
@@ -542,14 +541,19 @@ class Gateway:
             metrics.add(f"gateway.{status}", labels=labels)
 
     def _dispatch(self, tenant: Tenant, op: str, data: dict) -> dict:
-        """Run one admitted op through the tenant's futures surface."""
+        """Run one admitted op on the tenant's service, in this thread.
+
+        The connection thread that read the frame does the work itself
+        through the service's blocking calls, so a request is served
+        exactly where its ``gateway.request`` span is open.
+        """
         service = tenant.service
-        include = self.config.include_records
-        deadline_ms = data.get("deadline_ms")
         if op == "query":
+            deadline_ms = protocol.parse_deadline(data)
             query = protocol.parse_query(service.file.filesystem, data)
-            result = service.submit(query, deadline_ms=deadline_ms).result()
-            return protocol.result_payload(result, include_records=include)
+            return protocol.result_payload(
+                service.execute(query, deadline_ms=deadline_ms)
+            )
         if op == "insert":
             record = data.get("record")
             if not isinstance(record, list):
@@ -581,6 +585,7 @@ class Gateway:
                 "deduped": deduped,
             }
         # op == "batch"
+        deadline_ms = protocol.parse_deadline(data)
         queries_raw = data.get("queries")
         if not isinstance(queries_raw, list) or not queries_raw:
             raise ProtocolError(
@@ -590,13 +595,10 @@ class Gateway:
             protocol.parse_query(service.file.filesystem, body)
             for body in queries_raw
         ]
-        results = service.submit_many(
-            queries, deadline_ms=deadline_ms
-        ).result()
+        results = service.execute_many(queries, deadline_ms=deadline_ms)
         return {
             "results": [
-                protocol.result_payload(result, include_records=include)
-                for result in results
+                protocol.result_payload(result) for result in results
             ]
         }
 

@@ -254,12 +254,12 @@ class Tenant:
         with self._service_lock:
             return self._service is not None
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Retire the tenant's service pool, if one was ever built."""
+    def shutdown(self) -> None:
+        """Retire the tenant's service futures surface, if it was built."""
         with self._service_lock:
             service = self._service
         if service is not None:
-            service.shutdown(wait=wait)
+            service.shutdown()
 
     # ------------------------------------------------------------------
     # Exactly-once writes
@@ -271,12 +271,12 @@ class Tenant:
 
         Returns ``(bucket, write_version, deduped)``.  A key seen within
         the LRU window re-acknowledges the original position without
-        touching the file; a fresh key rides the normal futures path with
+        touching the file; a fresh key rides the normal insert path with
         the key stamped into the WAL entry, so a crash between apply and
         acknowledgement still dedupes the retry after recovery.
         """
         if idem is None:
-            bucket, version = self.service.submit_insert(record).result()
+            bucket, version = self.service.insert(record)
             return tuple(bucket), version, False
         # Lookup and apply are atomic under the window lock: a retry that
         # races its original (duplicated frames land the same write on
@@ -288,9 +288,9 @@ class Tenant:
             if hit is not None:
                 self._idem.move_to_end(idem)
                 return hit[0], hit[1], True
-            bucket, version = self.service.submit_insert(
+            bucket, version = self.service.insert(
                 record, wal_meta={"idem": idem}
-            ).result()
+            )
             ack = (tuple(bucket), version)
             self._remember(idem, ack)
         return ack[0], ack[1], False

@@ -79,8 +79,7 @@ class Span:
     #: 64-bit id of the trace this span belongs to.
     trace_id: int = 0
     #: True when the parent context was adopted via ``Tracer.activate``
-    #: rather than lexical nesting — i.e. the link crossed a propagation
-    #: boundary (a wire frame, or a thread-pool handoff).
+    #: rather than lexical nesting — i.e. the link crossed a wire frame.
     remote: bool = False
 
     def set_attr(self, key: str, value) -> None:
@@ -204,8 +203,8 @@ class Tracer:
         """The trace position new work started *here* should inherit.
 
         The innermost live span wins; with no live span, an activated
-        remote context (if any) is returned, so pool threads that re-enter
-        a captured context propagate it onward.
+        remote context (if any) is returned, so a call made under a
+        resumed wire context before any span opens propagates it onward.
         """
         span = self._current.get()
         if span is not None:

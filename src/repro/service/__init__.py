@@ -7,11 +7,11 @@ with:
 
 * :class:`QueryService` (:mod:`repro.service.frontend`) — thread-safe
   execution with in-flight request coalescing over the query algebra and
-  the write-aware result cache.  The service API is *futures-first*:
-  ``submit`` / ``submit_many`` / ``submit_insert`` return
-  :class:`concurrent.futures.Future` objects, and ``execute`` is the
-  blocking wrapper.  The network gateway (:mod:`repro.gateway`) consumes
-  only the futures surface,
+  the write-aware result cache.  ``execute`` / ``execute_many`` /
+  ``insert`` run in the caller's thread — the network gateway
+  (:mod:`repro.gateway`) calls them on each connection thread — and
+  ``submit`` / ``submit_many`` / ``submit_insert`` return the same work as
+  already-completed :class:`concurrent.futures.Future` objects,
 * :class:`AdmissionController` (:mod:`repro.service.admission`) — bounded
   concurrency and queueing with explicit shed/timeout outcomes, reusing
   :class:`~repro.runtime.RetryPolicy` backoff semantics, and

@@ -13,11 +13,13 @@ executor into something that can take traffic from many threads at once:
 * **a write-aware result cache** — the thread-safe
   :class:`~repro.storage.cache.CachedExecutor`, invalidated selectively
   by the file's write notifications, and
-* **a futures-first API** — :meth:`QueryService.submit` /
+* **a blocking API run in the caller's thread** —
+  :meth:`QueryService.execute` / :meth:`QueryService.execute_many` /
+  :meth:`QueryService.insert` (what the network gateway calls on each
+  connection thread), with :meth:`QueryService.submit` /
   :meth:`QueryService.submit_many` / :meth:`QueryService.submit_insert`
-  return :class:`concurrent.futures.Future` objects (the shape the
-  network gateway consumes exclusively); :meth:`QueryService.execute` is
-  the blocking wrapper over the same code path, and
+  returning the same work as already-completed
+  :class:`concurrent.futures.Future` objects, and
 * **linearisable reads** — every result carries the file
   :attr:`~repro.storage.parallel_file.WriteNotifier.write_version` it
   reflects, so a request log can be replayed serially and compared
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from repro.envelope import SCHEMA_VERSION
@@ -75,13 +77,6 @@ class ServiceConfig:
     admission_retry: RetryPolicy = field(default_factory=RetryPolicy.none)
     cache_capacity: int | None = 64
     coalesce: bool = True
-    #: Worker threads behind the futures surface (:meth:`QueryService.submit`).
-    #: ``None`` sizes the pool to ``max_concurrent + queue_limit`` so the
-    #: pool itself never narrows what admission control would admit or
-    #: queue; submits beyond that wait in the pool (extra backpressure)
-    #: rather than being shed.  Blocking :meth:`QueryService.execute`
-    #: callers never touch the pool.
-    submit_workers: int | None = None
 
     def validate(self) -> "ServiceConfig":
         """Fail fast on impossible knob values.
@@ -106,10 +101,6 @@ class ServiceConfig:
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ConfigurationError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity}"
-            )
-        if self.submit_workers is not None and self.submit_workers < 1:
-            raise ConfigurationError(
-                f"submit_workers must be >= 1, got {self.submit_workers}"
             )
         return self
 
@@ -225,8 +216,8 @@ class QueryService:
         #: Uncached single-query reads; batches go through ``_engine``.
         self._reader = QueryExecutor(partitioned_file)
         self._engine = None
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
+        #: Set by :meth:`shutdown`; the ``submit*`` methods then refuse work.
+        self._retired = False
         #: Optional :class:`~repro.durability.wal.WriteAheadLog` writes are
         #: framed into *before* they touch the file (the gateway's
         #: crash-recovery path attaches one per tenant).  ``None`` keeps
@@ -274,10 +265,10 @@ class QueryService:
     ) -> ServiceResult:
         """Serve one partial match query, never raising for overload.
 
-        The blocking wrapper over the futures surface: semantically
-        ``submit(query).result()``, but run inline in the caller's thread
-        so synchronous callers pay no pool handoff.  *deadline_ms*
-        overrides the config default for this request.
+        Runs in the caller's thread: the gateway calls it on the
+        connection thread that read the frame, so ``service.request``
+        opens as a plain child of that thread's ``gateway.request`` span.
+        *deadline_ms* overrides the config default for this request.
         """
         start = time.perf_counter()
         deadline_ms = (
@@ -329,97 +320,57 @@ class QueryService:
     # ------------------------------------------------------------------
     # Futures surface
     # ------------------------------------------------------------------
-    # The coalescing machinery has always been future-shaped internally
-    # (a follower parks on the leader's in-flight entry); ``submit`` makes
-    # that shape public.  It is the primary service API: the network
-    # gateway consumes *only* these methods, and :meth:`execute` /
-    # :meth:`execute_many` are the blocking wrappers over the same code
-    # path (run inline in the caller's thread, so synchronous callers pay
-    # no handoff).
+    # Each ``submit*`` runs its blocking method in the caller's thread and
+    # hands back a future that is already done: a Future-shaped view of
+    # the same code path, for callers that collect results as futures.
     def submit(
         self,
         query: PartialMatchQuery,
         deadline_ms: float | None = None,
     ) -> "Future[ServiceResult]":
-        """Serve *query* asynchronously; returns a resolved-on-completion
+        """:meth:`execute` as a completed
         :class:`~concurrent.futures.Future` of the :class:`ServiceResult`.
 
         The future never carries an overload exception — shed/timeout are
         *results* exactly as for :meth:`execute`; only genuine serving
-        failures (device faults escaping the runtime, cancelled flights)
-        surface as the future's exception.  Await-friendly: wrap with
-        :func:`asyncio.wrap_future` to consume from an event loop.
+        failures (device faults escaping the runtime, failed flights)
+        surface as the future's exception.
         """
-        return self._submit_traced(
-            self.execute, query, deadline_ms=deadline_ms
-        )
+        return self._completed(self.execute, query, deadline_ms=deadline_ms)
 
     def submit_many(
         self,
         queries: list[PartialMatchQuery],
         deadline_ms: float | None = None,
     ) -> "Future[list[ServiceResult]]":
-        """Asynchronous :meth:`execute_many`: one engine batch, one
-        admission permit, one future resolving to the per-query results."""
-        return self._submit_traced(
+        """:meth:`execute_many` as a completed future: one engine batch,
+        one admission permit, one future holding the per-query results."""
+        return self._completed(
             self.execute_many, queries, deadline_ms=deadline_ms
         )
 
     def submit_insert(self, record, wal_meta=None) -> "Future[tuple[Bucket, int]]":
-        """Asynchronous :meth:`insert`; resolves to ``(bucket, version)``."""
-        return self._submit_traced(self.insert, record, wal_meta=wal_meta)
+        """:meth:`insert` as a completed future of ``(bucket, version)``."""
+        return self._completed(self.insert, record, wal_meta=wal_meta)
 
-    def _submit_traced(self, fn, *args, **kwargs) -> "Future":
-        """Pool submit that carries the caller's trace context along.
+    def _completed(self, fn, *args, **kwargs) -> "Future":
+        """Run *fn* here; its result or serving error goes into the future."""
+        if self._retired:
+            raise RuntimeError("cannot submit after QueryService.shutdown()")
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:
+            future.set_exception(error)
+        return future
 
-        :class:`contextvars.ContextVar` state does not follow work into
-        pool threads, so the caller's trace position (its live span, or a
-        remote context the gateway activated) is captured here — in the
-        submitting thread — and re-activated around the pooled call.  The
-        spans the work opens then parent under the submitting request
-        instead of starting orphan traces.
+    def shutdown(self) -> None:
+        """Retire the futures surface (idempotent).
+
+        A later ``submit*`` raises :class:`RuntimeError`, as a shut-down
+        executor would; the blocking surface stays usable.
         """
-        tracer = telemetry().tracer
-        context = tracer.current_context()
-        pool = self._submit_pool()
-        if context is None:
-            return pool.submit(fn, *args, **kwargs)
-
-        def run():
-            with tracer.activate(context):
-                return fn(*args, **kwargs)
-
-        return pool.submit(run)
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Retire the futures worker pool (idempotent).
-
-        Outstanding futures complete when *wait* is true.  The blocking
-        surface stays usable afterwards; a later :meth:`submit` raises
-        :class:`RuntimeError` as a shut-down executor would.
-        """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-            self._retired = True
-        if pool is not None:
-            pool.shutdown(wait=wait)
-
-    def _submit_pool(self) -> ThreadPoolExecutor:
-        """The lazily-created worker pool behind the futures surface."""
-        with self._pool_lock:
-            if getattr(self, "_retired", False):
-                raise RuntimeError(
-                    "cannot submit after QueryService.shutdown()"
-                )
-            if self._pool is None:
-                workers = self.config.submit_workers
-                if workers is None:
-                    workers = self.config.max_concurrent + self.config.queue_limit
-                self._pool = ThreadPoolExecutor(
-                    max_workers=max(1, workers),
-                    thread_name_prefix="service-submit",
-                )
-            return self._pool
+        self._retired = True
 
     # ------------------------------------------------------------------
     # Internals

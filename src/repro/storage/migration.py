@@ -67,7 +67,8 @@ def moved_fraction(
     O(n·M log M) when both methods are separable over the same group;
     falls back to grid enumeration (bounded) otherwise.
 
-    >>> from repro import FileSystem, FXDistribution, ModuloDistribution
+    >>> from repro import FileSystem, FXDistribution
+    >>> from repro.distribution.modulo import ModuloDistribution
     >>> fs = FileSystem.of(8, 8, m=4)
     >>> moved_fraction(FXDistribution(fs), FXDistribution(fs))
     0.0
@@ -171,7 +172,8 @@ class MigrationReport:
 class Migration:
     """Plan and apply a re-declustering of a live partitioned file.
 
-    >>> from repro import FileSystem, FXDistribution, ModuloDistribution
+    >>> from repro import FileSystem, FXDistribution
+    >>> from repro.distribution.modulo import ModuloDistribution
     >>> fs = FileSystem.of(4, 8, m=4)
     >>> pf = PartitionedFile(ModuloDistribution(fs))
     >>> pf.insert_all([(i, str(i)) for i in range(50)])

@@ -1,6 +1,7 @@
-"""Tests for the construction facade (repro.api) and deprecation shims."""
+"""Tests for the construction facade (repro.api)."""
 
-import warnings
+import subprocess
+import sys
 
 import pytest
 
@@ -117,80 +118,10 @@ class TestMakeMethod:
         assert repro.method_names is method_names
 
 
-class TestDeprecationShims:
-    NAMES = sorted(distribution._DEPRECATED_CONSTRUCTORS)
-
-    def _fresh(self, name):
-        distribution._warned.discard(name)
-
-    @pytest.mark.parametrize("name", NAMES)
-    def test_old_import_warns_once_then_stays_silent(self, name):
-        self._fresh(name)
-        with pytest.warns(DeprecationWarning, match=name):
-            first = getattr(distribution, name)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            second = getattr(distribution, name)
-        assert first is second
-
-    def test_shim_resolves_to_real_class(self):
-        self._fresh("ModuloDistribution")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            from repro.distribution import ModuloDistribution
-        from repro.distribution.modulo import (
-            ModuloDistribution as canonical,
-        )
-        assert ModuloDistribution is canonical
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            distribution.NoSuchDistribution
-
-    def test_concurrent_first_access_warns_exactly_once(self):
-        """Racing threads resolving one deprecated name must produce one
-        warning total — the _warned check-then-add is lock-protected."""
-        import threading
-
-        for name in self.NAMES:
-            self._fresh(name)
-        barrier = threading.Barrier(8)
-
-        def resolve():
-            barrier.wait()
-            for name in self.NAMES:
-                getattr(distribution, name)
-
-        threads = [threading.Thread(target=resolve) for __ in range(8)]
-        # One global recorder: warnings raised on worker threads all land
-        # here, because catch_warnings swaps the process-wide showwarning.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == len(self.NAMES)
-        warned_names = sorted(
-            next(n for n in self.NAMES if n in str(w.message))
-            for w in deprecations
-        )
-        assert warned_names == self.NAMES
-
-    def test_dir_lists_deprecated_names(self):
-        listed = dir(distribution)
-        for name in self.NAMES:
-            assert name in listed
-
-    def test_package_root_import_is_silent_but_access_warns(self):
-        import subprocess
-        import sys
-
-        # `import repro` itself must stay warning-free; only touching a
-        # deprecated constructor attribute emits the DeprecationWarning.
+class TestConstructorShimsRemoved:
+    def test_import_is_silent_and_names_are_gone(self):
+        """``import repro`` raises no warning, and the baseline
+        constructor classes resolve only from their defining modules."""
         code = (
             "import warnings; warnings.simplefilter('error');"
             "import repro;"
@@ -200,14 +131,6 @@ class TestDeprecationShims:
             [sys.executable, "-c", code], capture_output=True, text=True,
         )
         assert completed.returncode == 0, completed.stderr
-
-        code = (
-            "import warnings; warnings.simplefilter('error');"
-            "import repro; repro.ModuloDistribution"
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-        )
-        assert completed.returncode != 0
-        assert "DeprecationWarning" in completed.stderr
-        assert "make_method" in completed.stderr
+        for package in (repro, distribution):
+            with pytest.raises(AttributeError):
+                package.ModuloDistribution

@@ -1,4 +1,4 @@
-"""Tests for the multi-tenant network gateway and the futures-first API.
+"""Tests for the multi-tenant network gateway and the service futures.
 
 Covers the wire protocol (framing, torn frames, oversized rejection,
 versioned envelope), the server ops, per-tenant quotas and rate limits,
@@ -15,11 +15,9 @@ import socket
 import struct
 import threading
 import time
-import warnings
 
 import pytest
 
-import repro
 from repro import obs
 from repro.api import make_gateway, make_service
 from repro.cli import main
@@ -313,6 +311,30 @@ class TestServerOps:
             with pytest.raises(GatewayRequestError) as excinfo:
                 client.query({0: 999})
             assert excinfo.value.code == "bad_request"
+
+    @pytest.mark.parametrize(
+        "deadline",
+        ["abc", [1], -5, 0, True, float("nan"), float("inf")],
+        ids=repr,
+    )
+    def test_malformed_deadline_is_bad_request(
+        self, gateway_factory, deadline
+    ):
+        __, address = gateway_factory(["alpha"])
+        with GatewayClient(
+            *address, tenant="alpha", fields=FIELDS, devices=DEVICES
+        ) as client:
+            bucket, __ = client.insert((1, 2))
+            specified = {0: bucket[0]}
+            with pytest.raises(GatewayRequestError) as excinfo:
+                client.query(specified, deadline_ms=deadline)
+            assert excinfo.value.code == "bad_request"
+            with pytest.raises(GatewayRequestError) as excinfo:
+                client.batch([specified], deadline_ms=deadline)
+            assert excinfo.value.code == "bad_request"
+            result = client.query(specified, deadline_ms=50)
+            assert result.status == "ok"
+            assert result.records == [(1, 2)]
 
     def test_per_request_span_and_counters(self, gateway_factory):
         __, address = gateway_factory()
@@ -669,7 +691,7 @@ class TestLoopbackLoad:
 
 
 # ======================================================================
-# The futures-first service surface
+# The service's futures surface (inline, already-done futures)
 # ======================================================================
 class TestFuturesSurface:
     def test_submit_returns_future_matching_execute(self):
@@ -703,22 +725,35 @@ class TestFuturesSurface:
         # The blocking path still works: execute() runs inline.
         assert service.execute(service.file.query({0: 1})).status == "ok"
 
-    def test_submit_workers_config_validated(self):
-        with pytest.raises(ReproError):
-            make_service(
-                "fx", fields=FIELDS, devices=DEVICES, submit_workers=0
-            )
+    def test_submits_run_inline_and_return_done_futures(self, monkeypatch):
+        service = make_service("fx", fields=FIELDS, devices=DEVICES)
+        caller = threading.current_thread()
+        ran_on = []
+        for name in ("execute", "execute_many", "insert"):
+            blocking = getattr(service, name)
 
-    def test_concurrent_submits_coalesce(self):
-        service = make_service(
-            "fx", fields=FIELDS, devices=DEVICES, cache_capacity=None
-        )
-        service.insert((1, 2))
+            def recording(*args, _blocking=blocking, **kwargs):
+                ran_on.append(threading.current_thread())
+                return _blocking(*args, **kwargs)
+
+            monkeypatch.setattr(service, name, recording)
         query = service.file.query({0: 1})
-        futures = [service.submit(query) for __ in range(16)]
-        results = [f.result(timeout=10) for f in futures]
-        assert all(r.status == "ok" for r in results)
-        assert all(sorted(r.records) == [(1, 2)] for r in results)
+        futures = [
+            service.submit_insert((1, 2)),
+            service.submit(query),
+            service.submit_many([query]),
+        ]
+        assert ran_on == [caller] * 3
+        assert all(future.done() for future in futures)
+        assert futures[1].result().records == [(1, 2)]
+
+        def failing(*args, **kwargs):
+            raise ReproError("device lost")
+
+        monkeypatch.setattr(service, "execute", failing)
+        future = service.submit(query)
+        assert future.done()
+        assert isinstance(future.exception(), ReproError)
 
 
 # ======================================================================
@@ -769,11 +804,11 @@ class TestMakeGateway:
             make_gateway(
                 ["a"], fields=FIELDS, devices=DEVICES, max_concurrent=0
             )
-        with pytest.raises(ConfigurationError, match="'bad'.*submit_workers"):
+        with pytest.raises(ConfigurationError, match="'bad'.*queue_limit"):
             make_gateway(
                 {
                     "ok": {},
-                    "bad": {"service": {"submit_workers": 0}},
+                    "bad": {"service": {"queue_limit": -1}},
                 },
                 fields=FIELDS,
                 devices=DEVICES,
@@ -818,34 +853,6 @@ class TestMakeGateway:
             GatewayConfig(drain_timeout_s=0)
         with pytest.raises(ConfigurationError):
             Gateway([])
-
-
-# ======================================================================
-# Deprecated top-level constructor imports
-# ======================================================================
-class TestDeprecatedTopLevel:
-    def test_warns_once_then_resolves(self):
-        repro._warned.discard("ModuloDistribution")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cls = repro.ModuloDistribution
-            repro.ModuloDistribution
-        from repro.distribution.modulo import ModuloDistribution
-
-        assert cls is ModuloDistribution
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_all_deprecated_names_still_in_dir(self):
-        names = dir(repro)
-        for name in repro._DEPRECATED_CONSTRUCTORS:
-            assert name in names
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.NoSuchThing
 
 
 # ======================================================================

@@ -1,7 +1,7 @@
 """Tests for the distributed, tenant-aware observability plane.
 
 Covers wire-level trace-context propagation (client stamping, server
-resumption, thread-pool handoff, coalesced-follower links), the seeded
+resumption, same-thread service spans, coalesced-follower links), the seeded
 64-bit trace-id streams, dimensional (labeled) metrics, the per-tenant
 SLO monitor and its ``{"op": "obs"}`` wire surface, the query-mix
 profiler, and the tenant-attributed trace audit — plus the
@@ -702,14 +702,17 @@ class TestLoopbackPropagation:
         spans = _span_records()
         index = span_index(spans)
         roots = [s for s in spans if s["name"] == "gateway.request"]
-        gateway_traces = {s["trace"] for s in roots}
         assert roots and all(s["parent"] is None for s in roots)
 
+        # The service runs on the connection thread, so its span is a
+        # plain local child of the request span, in the same trace.
         service_spans = [s for s in spans if s["name"] == "service.request"]
         assert service_spans
         for span in service_spans:
-            assert span["trace"] in gateway_traces
-            assert span["remote"] is True
+            parent = index.get((span["trace"], span["parent"]))
+            assert parent is not None
+            assert parent["name"] == "gateway.request"
+            assert not span.get("remote")
 
         query_spans = [
             s for s in spans
@@ -896,8 +899,17 @@ class TestCoalescedFollowerLinks:
             return original(q)
 
         service._fetch = slow_fetch
+        results = [None] * 3
+
+        def serve(slot):
+            results[slot] = service.execute(query)
+
+        threads = [
+            threading.Thread(target=serve, args=(slot,)) for slot in range(3)
+        ]
         try:
-            futures = [service.submit(query) for __ in range(3)]
+            for thread in threads:
+                thread.start()
             # Let followers pile onto the leader's in-flight entry.
             deadline = 100
             while deadline and not service._inflight:
@@ -905,10 +917,12 @@ class TestCoalescedFollowerLinks:
                 time.sleep(0.01)
             time.sleep(0.05)
             release.set()
-            results = [f.result(timeout=5.0) for f in futures]
+            for thread in threads:
+                thread.join(timeout=5.0)
         finally:
+            release.set()
             service._fetch = original
-            service.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
         assert sum(1 for r in results if r.coalesced) >= 1
         spans = _span_records()
         followers = [
