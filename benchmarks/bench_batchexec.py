@@ -14,8 +14,8 @@ re-proves the contract while timing: every batched
 :class:`~repro.storage.executor.ExecutionResult` is byte-identical to
 the serial one (records, per-device counts, modelled times; only the
 ``mode`` provenance marker differs).  A second sweep runs the same
-batches over the zero-copy :class:`~repro.durability.checksummed_store.
-PackedChecksummedStore`, so the CRC-verified read path is covered by the
+batches over :class:`~repro.durability.checksummed_store.
+ChecksummedBucketStore`, so the CRC-verified read path is covered by the
 same identity assertion.  A third times the batch right after a write —
 one insert before each timed batch, as on a live file — and checks it
 against the serial oracle after the write.
@@ -44,7 +44,7 @@ import time
 import numpy as np
 
 from repro import BatchEngine, make_method
-from repro.durability.checksummed_store import PackedChecksummedStore
+from repro.durability.checksummed_store import ChecksummedBucketStore
 from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
 
@@ -133,7 +133,7 @@ def bench_serial_executor_64(benchmark):
 # ----------------------------------------------------------------------
 # Script mode: write BENCH_batchexec.json
 # ----------------------------------------------------------------------
-def _measure(pf, packed, batch_size, seed) -> dict:
+def _measure(pf, crc, batch_size, seed) -> dict:
     queries = _query_batch(pf, batch_size, seed)
     serial = QueryExecutor(pf)
     engine = BatchEngine(pf)
@@ -154,10 +154,10 @@ def _measure(pf, packed, batch_size, seed) -> dict:
     for batched_result, serial_result in zip(report.results, serial_results):
         assert_byte_identical(batched_result, serial_result)
 
-    # Same batch through the CRC-verified zero-copy store: identity again.
-    packed_serial = QueryExecutor(packed)
-    packed_queries = [
-        packed.query(
+    # Same batch through the CRC-verified store: identity again.
+    crc_serial = QueryExecutor(crc)
+    crc_queries = [
+        crc.query(
             {
                 i: value
                 for i, value in enumerate(query.values)
@@ -167,14 +167,14 @@ def _measure(pf, packed, batch_size, seed) -> dict:
         for query in queries
     ]
     started = time.perf_counter()
-    packed_report = BatchEngine(packed).execute(packed_queries)
-    packed_s = time.perf_counter() - started
-    for batched_result, query in zip(packed_report.results, packed_queries):
-        assert_byte_identical(batched_result, packed_serial.execute(query))
+    crc_report = BatchEngine(crc).execute(crc_queries)
+    crc_s = time.perf_counter() - started
+    for batched_result, query in zip(crc_report.results, crc_queries):
+        assert_byte_identical(batched_result, crc_serial.execute(query))
 
     # Right after a write: the engine rebuilds the written device's present
     # set.  The inserts are deleted again so later batch sizes see the same
-    # file.  This runs after the packed cold shot, which is timed once: run
+    # file.  This runs after the CRC cold shot, which is timed once: run
     # before it, this section halved that shot's rate at batch size 16.
     rng = random.Random(seed)
     fields = pf.filesystem.field_sizes
@@ -198,7 +198,7 @@ def _measure(pf, packed, batch_size, seed) -> dict:
         "batched_qps": round(batch_size / batched_s, 1),
         "speedup": round(serial_s / batched_s, 2),
         "after_write_qps": round(batch_size / after_write_s, 1),
-        "packed_crc_qps": round(batch_size / packed_s, 1),
+        "crc_qps": round(batch_size / crc_s, 1),
         "planned_reads": report.planned_reads,
         "unique_reads": report.unique_reads,
         "sharing_factor": round(report.sharing_factor, 3),
@@ -245,9 +245,9 @@ def main(argv=None) -> int:
         batch_sizes, records = FULL_BATCH_SIZES, FULL_RECORDS
 
     pf = _loaded_file(fields, devices, records, seed=1)
-    packed = _loaded_file(
+    crc = _loaded_file(
         fields, devices, records, seed=1,
-        store_factory=PackedChecksummedStore,
+        store_factory=ChecksummedBucketStore,
     )
     bucket_count = 1
     for size in fields:
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
         "bucket_count": bucket_count,
         "records": records,
         "sweep": [
-            _measure(pf, packed, batch_size, seed=100 + batch_size)
+            _measure(pf, crc, batch_size, seed=100 + batch_size)
             for batch_size in batch_sizes
         ],
     }
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
             f"{row['batched_qps']:>10,.1f} q/s batched vs "
             f"{row['serial_qps']:>8,.1f} q/s serial -> x{row['speedup']} "
             f"(after a write {row['after_write_qps']:,.1f} q/s, "
-            f"packed+CRC {row['packed_crc_qps']:,.1f} q/s, "
+            f"CRC store {row['crc_qps']:,.1f} q/s, "
             f"sharing x{row['sharing_factor']})"
         )
     return 0

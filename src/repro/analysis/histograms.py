@@ -208,14 +208,14 @@ class PatternEvaluator:
         memoised per pattern (hit rate under the ``pattern_histogram``
         counter) and returned read-only — copy before mutating.
         """
-        from repro.perf.counters import record_hit, record_miss
+        from repro.obs.metrics import default_registry
 
         pattern = frozenset(pattern)
         cached = self._pattern_cache.get(pattern)
         if cached is not None:
-            record_hit("pattern_histogram")
+            default_registry().record_perf_hit("pattern_histogram")
             return cached
-        record_miss("pattern_histogram")
+        default_registry().record_perf_miss("pattern_histogram")
         result = self._compute_histogram(pattern)
         result.setflags(write=False)
         self._pattern_cache[pattern] = result

@@ -12,7 +12,6 @@ Commands
 ``design``   optimal directory bit allocation from query statistics,
 ``simulate`` concurrent-workload latency comparison of the methods,
 ``recommend`` rank methods for a file system and workload,
-``perf``     exercise the engine fast paths and print the perf counters,
 ``faults``   fault-tolerant runtime: stream simulation under a fault plan
              (``run``) or availability curves plus runtime counters
              (``report``),
@@ -328,62 +327,6 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    """Exercise the engine fast paths, then print the perf counters.
-
-    The counters are process-wide, so a fresh CLI run must generate some
-    traffic before a report means anything: we sweep the optimality census
-    twice (the second pass should be all cache hits), enumerate every
-    device's buckets for a representative query through both inverse-mapping
-    paths, and plan one pattern-grouped batch.
-    """
-    import time
-
-    from repro.engine.plan import ArrayBatchPlanner
-    from repro.perf import render_report, reset_counters
-    from repro.query.patterns import patterns_with_k_unspecified, representative_query
-
-    fs = _parse_filesystem(args)
-    kwargs: dict[str, object] = {}
-    if args.method == "gdm":
-        kwargs["multipliers"] = default_gdm_multipliers(fs.n_fields)
-    method = create_method(args.method, fs, **kwargs)
-    reset_counters()
-
-    for __ in range(max(1, args.repeat)):
-        optimality_report(method, parallel=args.parallel)
-
-    # One specified field, the rest free: the canonical serving-path shape.
-    query = representative_query(fs, frozenset(range(1, fs.n_fields)) or {0})
-    iter_started = time.perf_counter()
-    iter_buckets = sum(
-        1
-        for device in range(fs.m)
-        for __ in method.qualified_on_device(device, query)
-    )
-    iter_seconds = time.perf_counter() - iter_started
-    array_buckets = sum(
-        method.qualified_on_device_array(device, query).shape[0]
-        for device in range(fs.m)
-    )
-
-    batch = [
-        representative_query(fs, pattern)
-        for pattern in patterns_with_k_unspecified(fs.n_fields, 1)
-        for __ in range(2)
-    ]
-    ArrayBatchPlanner(method).plan(batch)
-
-    print(render_report(title=f"Engine perf counters — {method.describe()}"))
-    print()
-    print(
-        f"inverse mapping sweep ({query.describe()}): "
-        f"{array_buckets} buckets; iterator path took {iter_seconds:.4f}s "
-        f"({iter_buckets / iter_seconds:,.0f}/s)"
-    )
-    return 0
-
-
 def _parse_slow_map(text: str | None) -> dict[int, float]:
     factors: dict[int, float] = {}
     for part in (text or "").split(","):
@@ -481,7 +424,7 @@ def _cmd_faults_report(args: argparse.Namespace) -> int:
 
     from repro.analysis.availability import degraded_response_curve
     from repro.distribution.replicated import ChainedReplicaScheme
-    from repro.perf import render_report, reset_counters
+    from repro.obs.metrics import default_registry
     from repro.query.workload import QueryWorkload, WorkloadSpec
     from repro.runtime import DegradedExecutor, RetryPolicy
     from repro.storage.costs import DiskCostModel
@@ -489,7 +432,7 @@ def _cmd_faults_report(args: argparse.Namespace) -> int:
     from repro.storage.replicated_file import ReplicatedFile
 
     fs = _parse_filesystem(args)
-    reset_counters()
+    default_registry().reset_perf()
     plan = _parse_fault_plan(args, default_fail="0")
     retry = RetryPolicy(max_attempts=args.retries, timeout_ms=args.timeout)
     workload = QueryWorkload(
@@ -590,7 +533,9 @@ def _cmd_faults_report(args: argparse.Namespace) -> int:
         )
     )
     print()
-    print(render_report(title="Runtime counters"))
+    print(
+        _perf_table(default_registry().snapshot(), title="Runtime counters")
+    )
     return 0
 
 
@@ -695,10 +640,37 @@ def _format_ms(value: float | None) -> str:
     return "-" if value is None else f"{value:,.3f}"
 
 
+def _perf_table(snap, title: str = "Engine perf counters") -> str:
+    """The perf counters of a registry snapshot as a table.
+
+    A dash marks a rate with nothing measured behind it (no lookups, or
+    no timed seconds); an empty snapshot renders one placeholder row.
+    """
+    rows = []
+    for name, c in sorted(snap.perf.items()):
+        hit_rate, rate = c.hit_rate_or_none, c.rate_or_none
+        rows.append(
+            [
+                name,
+                c.hits,
+                c.misses,
+                "-" if hit_rate is None else f"{100 * hit_rate:.1f}%",
+                c.events,
+                "-" if rate is None else f"{rate:,.0f}/s",
+            ]
+        )
+    if not rows:
+        rows.append(["(no activity recorded)", 0, 0, "-", 0, "-"])
+    return format_table(
+        ["counter", "hits", "misses", "hit rate", "events", "throughput"],
+        rows,
+        title=title,
+    )
+
+
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     """Replay, then render one unified view of the whole metrics registry."""
     from repro.obs import telemetry
-    from repro.perf import render_report
 
     method, queries = _obs_replay(args)
     snap = telemetry().metrics.snapshot()
@@ -735,7 +707,7 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
         print(format_table(["metric", "value"], counter_rows,
                            title="Counters and gauges"))
         print()
-    print(render_report())
+    print(_perf_table(snap))
     events = telemetry().events
     print()
     print(f"{len(events)} telemetry events retained "
@@ -1054,15 +1026,16 @@ def _recover_rebuild_data(args: argparse.Namespace) -> dict:
     )
     durable.insert_all(_seeded_records(fs, args.records, args.seed))
     before = durable.state_digest()
-    lost = args.lose % fs.m
-    durable.file.lose_device(lost)
+    durable.file.lose_device(args.lose)
     workload = QueryWorkload(
         fs,
         WorkloadSpec(spec_probability=args.p, exclude_trivial=True,
                      seed=args.seed),
     )
     queries = workload.take(args.queries) if args.queries else None
-    report = DeviceRebuilder(durable.file).rebuild(lost, queries=queries)
+    report = DeviceRebuilder(durable.file).rebuild(
+        args.lose, queries=queries
+    )
     identical = durable.state_digest() == before
     data = report.to_dict()
     data["digest_identical"] = identical
@@ -1887,26 +1860,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", default="paper", choices=["paper", "theorem9"]
     )
     verify.set_defaults(func=_cmd_verify)
-
-    perf = sub.add_parser(
-        "perf", help="exercise the engine fast paths and report counters"
-    )
-    perf.add_argument("action", choices=["report"])
-    _add_filesystem_arguments(perf)
-    perf.add_argument(
-        "--method", default="fx",
-        choices=["fx", "fx-basic", "modulo", "gdm"],
-        help="separable method to exercise",
-    )
-    perf.add_argument(
-        "--repeat", type=int, default=2,
-        help="census passes (>= 2 makes cache hit rates visible)",
-    )
-    perf.add_argument(
-        "--parallel", type=int, default=None,
-        help="threads for the census sweep (0 = one per CPU)",
-    )
-    perf.set_defaults(func=_cmd_perf)
 
     obs = sub.add_parser(
         "obs", help="telemetry: replay a workload, report/export/tail/check"

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.hashing.fields import Bucket
 from repro.obs.clock import now as _now
-from repro.perf.counters import record_work
+from repro.obs.metrics import default_registry
 from repro.query.partial_match import PartialMatchQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
@@ -206,7 +206,9 @@ def separable_qualified_on_device_array(
             out = np.asarray([query.values], dtype=np.int64)
         else:
             out = np.empty((0, n), dtype=np.int64)
-        record_work("inverse_array", out.shape[0], _now() - started)
+        default_registry().record_perf_work(
+            "inverse_array", out.shape[0], _now() - started
+        )
         return out
 
     solve_field = max(unspecified, key=lambda i: fs.field_sizes[i])
@@ -256,7 +258,9 @@ def separable_qualified_on_device_array(
             out[:, i] = solve_values
         else:
             out[:, i] = (combo // strides[i]) % fs.field_sizes[i]
-    record_work("inverse_array", total, _now() - started)
+    default_registry().record_perf_work(
+        "inverse_array", total, _now() - started
+    )
     return out
 
 
@@ -294,7 +298,9 @@ def separable_qualified_flat_batch(
     n = fs.n_fields
     G = len(queries)
     if G == 0:
-        record_work("inverse_batch", 0, _now() - started)
+        default_registry().record_perf_work(
+            "inverse_batch", 0, _now() - started
+        )
         return (
             np.empty(0, dtype=np.int64),
             np.empty((0, m), dtype=np.int64),
@@ -326,7 +332,9 @@ def separable_qualified_flat_batch(
         # Exact match: each query's single bucket sits on its fold device.
         counts = np.zeros((G, m), dtype=np.int64)
         counts[np.arange(G), folds] = 1
-        record_work("inverse_batch", G, _now() - started)
+        default_registry().record_perf_work(
+            "inverse_batch", G, _now() - started
+        )
         return spec_flat, counts
 
     unspecified = sorted(pattern)
@@ -398,7 +406,9 @@ def separable_qualified_flat_batch(
     counts = (
         count_parts[0] if len(count_parts) == 1 else np.concatenate(count_parts)
     )
-    record_work("inverse_batch", total, _now() - started)
+    default_registry().record_perf_work(
+        "inverse_batch", total, _now() - started
+    )
     return flat, counts
 
 

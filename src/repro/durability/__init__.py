@@ -32,10 +32,7 @@ reproducible.
 """
 
 from repro.durability.checksum import encode_page, page_checksum
-from repro.durability.checksummed_store import (
-    ChecksummedBucketStore,
-    PackedChecksummedStore,
-)
+from repro.durability.checksummed_store import ChecksummedBucketStore
 from repro.durability.durable_file import DurableFile, RecoveryReport, recover
 from repro.durability.rebuild import DeviceRebuilder, RebuildReport
 from repro.durability.scrubber import ScrubReport, Scrubber
@@ -45,7 +42,6 @@ __all__ = [
     "encode_page",
     "page_checksum",
     "ChecksummedBucketStore",
-    "PackedChecksummedStore",
     "WriteAheadLog",
     "WalEntry",
     "CrashPoint",

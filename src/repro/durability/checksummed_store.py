@@ -17,16 +17,14 @@ is exercised against honest damage.
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Iterable
 
 from repro.durability.checksum import page_checksum
 from repro.errors import ConfigurationError, CorruptPageError, StorageError
 from repro.hashing.fields import Bucket
 from repro.storage.bucket_store import BucketStore
-from repro.storage.paged_store import PackedPageStore
 
-__all__ = ["ChecksummedBucketStore", "PackedChecksummedStore"]
+__all__ = ["ChecksummedBucketStore"]
 
 #: The sentinel a "tamper" corruption writes over a record — distinctive in
 #: test failures and impossible to collide with real field tuples.
@@ -155,159 +153,6 @@ class ChecksummedBucketStore(BucketStore):
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Count invariants plus a full checksum verification sweep."""
-        super().check_invariants()
-        for key in self.tracked_buckets():
-            if not self.verify_bucket(key):
-                raise CorruptPageError(
-                    f"bucket {key} fails checksum verification"
-                )
-
-
-class PackedChecksummedStore(PackedPageStore):
-    """Packed page store with zero-copy CRC verification on every read.
-
-    The integrity model of :class:`ChecksummedBucketStore` over the byte
-    pages of :class:`~repro.storage.paged_store.PackedPageStore`: one
-    CRC-32 per bucket, folded over a bucket header and every page buffer
-    *as bytes* (``zlib.crc32`` over :meth:`page_views` memoryviews).
-    Because the buffers are the stored state itself, verification never
-    decodes — or copies — a record: a read CRCs the raw pages, compares,
-    and only then consults the page decode cache.  That is the engine-path
-    win over the tuple-based store, whose every checksum rebuilds a
-    canonical ``repr`` of the live record tuples.
-
-    >>> store = PackedChecksummedStore(page_capacity=2)
-    >>> store.insert((0,), (1, "a"))
-    >>> store.records_in((0,))
-    ((1, 'a'),)
-    >>> store.corrupt_bucket((0,))
-    >>> store.verify_bucket((0,))
-    False
-    """
-
-    def __init__(self, page_capacity: int = 4):
-        super().__init__(page_capacity)
-        self._sums: dict[Bucket, int] = {}
-
-    # ------------------------------------------------------------------
-    # Mutation (checksums kept current)
-    # ------------------------------------------------------------------
-    def _crc_of(self, key: Bucket) -> int:
-        """CRC-32 over the bucket header and the raw page buffers."""
-        crc = zlib.crc32(repr(tuple(key)).encode("utf-8"))
-        for view in self.page_views(key):
-            crc = zlib.crc32(view, crc)
-        return crc
-
-    def _resum(self, key: Bucket) -> None:
-        if self.has_bucket(key):
-            self._sums[key] = self._crc_of(key)
-        else:
-            self._sums.pop(key, None)
-
-    def insert(self, bucket: Bucket, record: object) -> None:
-        super().insert(bucket, record)
-        self._resum(tuple(bucket))
-
-    def delete(self, bucket: Bucket, record: object) -> bool:
-        removed = super().delete(bucket, record)
-        if removed:
-            self._resum(tuple(bucket))
-        return removed
-
-    def replace_bucket(self, bucket: Bucket, records: Iterable[object]) -> None:
-        super().replace_bucket(bucket, records)
-        self._resum(tuple(bucket))
-
-    def clear(self) -> None:
-        super().clear()
-        self._sums.clear()
-
-    def compact(self) -> int:
-        freed = super().compact()
-        for key in list(self.buckets()):
-            self._resum(key)
-        return freed
-
-    # ------------------------------------------------------------------
-    # Verified reads
-    # ------------------------------------------------------------------
-    def records_in(self, bucket: Bucket) -> tuple[object, ...]:
-        """The bucket's records, pages verified byte-for-byte first.
-
-        Raises :class:`~repro.errors.CorruptPageError` on any mismatch,
-        including a surviving checksum with lost pages and pages with no
-        checksum — the same taxonomy as the tuple-based store.
-        """
-        key = tuple(bucket)
-        expected = self._sums.get(key)
-        if expected is None:
-            if self.has_bucket(key):
-                raise CorruptPageError(
-                    f"bucket {key}: pages present but have no checksum"
-                )
-            return ()
-        if not self.has_bucket(key):
-            raise CorruptPageError(
-                f"bucket {key}: checksum present but pages are lost"
-            )
-        computed = self._crc_of(key)
-        if computed != expected:
-            raise CorruptPageError(
-                f"bucket {key}: page checksum mismatch "
-                f"(stored {expected}, computed {computed})"
-            )
-        return super().records_in(key)
-
-    def verify_bucket(self, bucket: Bucket) -> bool:
-        """Non-raising verification over the raw page bytes."""
-        key = tuple(bucket)
-        expected = self._sums.get(key)
-        if expected is None:
-            return not self.has_bucket(key)
-        if not self.has_bucket(key):
-            return False
-        return self._crc_of(key) == expected
-
-    def tracked_buckets(self) -> list[Bucket]:
-        """Every bucket with pages *or* a checksum, sorted (see
-        :meth:`ChecksummedBucketStore.tracked_buckets`)."""
-        return sorted(set(self._pages) | set(self._sums))
-
-    @property
-    def checksum_count(self) -> int:
-        return len(self._sums)
-
-    # ------------------------------------------------------------------
-    # Deterministic damage (fault injection)
-    # ------------------------------------------------------------------
-    def corrupt_bucket(self, bucket: Bucket, kind: str = "tamper") -> None:
-        """Damage the raw bytes the way failing media would.
-
-        ``"tamper"`` flips one byte in the first page's buffer (and drops
-        the decode cache, as real media corruption hits bytes beneath any
-        cache); ``"drop"`` loses the pages wholesale, checksum surviving.
-        """
-        key = tuple(bucket)
-        chain = self._pages.get(key)
-        if not chain:
-            raise StorageError(f"cannot corrupt absent bucket {key}")
-        if kind == "tamper":
-            page = chain[0]
-            page.buf[0] ^= 0xFF
-            page.cache = None
-        elif kind == "drop":
-            self._record_count -= sum(len(page.ends) for page in chain)
-            del self._pages[key]
-        else:
-            raise ConfigurationError(
-                f"unknown corruption kind {kind!r}; use 'tamper' or 'drop'"
-            )
-
-    # ------------------------------------------------------------------
-    # Invariants
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
         super().check_invariants()
         for key in self.tracked_buckets():
             if not self.verify_bucket(key):

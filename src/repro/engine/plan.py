@@ -30,7 +30,7 @@ from repro.core.inverse import bucket_strides, separable_qualified_flat_batch
 from repro.distribution.base import SeparableMethod
 from repro.errors import QueryError
 from repro.obs.clock import now as _now
-from repro.perf.counters import record_work
+from repro.obs.metrics import default_registry
 from repro.query.partial_match import PartialMatchQuery
 
 __all__ = ["ArrayBatchPlan", "ArrayBatchPlanner"]
@@ -210,7 +210,9 @@ class ArrayBatchPlanner:
             else:
                 plan.unique_per_device[device] = np.empty(0, dtype=np.int64)
                 plan.unique_counts[device] = 0
-        record_work("engine_plan", plan.planned_reads, _now() - started)
+        default_registry().record_perf_work(
+            "engine_plan", plan.planned_reads, _now() - started
+        )
         return plan
 
     def _plan_separable(self, plan: ArrayBatchPlan) -> None:

@@ -76,6 +76,10 @@ class GatewayConfig:
     drain_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ConfigurationError(
+                f"port must be in 0..65535, got {self.port}"
+            )
         if self.max_connections < 1:
             raise ConfigurationError(
                 f"max_connections must be >= 1, got {self.max_connections}"

@@ -4,9 +4,9 @@ One process-wide :class:`Telemetry` instance ties the subsystem together:
 
 * :func:`trace_span` — the span/tracer API the hot paths use
   (:mod:`repro.obs.spans`),
-* ``telemetry().metrics`` — counters, gauges and latency histograms
-  (:mod:`repro.obs.metrics`); the legacy ``repro.perf.counters`` registry
-  is folded into it behind its unchanged public API,
+* ``telemetry().metrics`` — counters, gauges, latency histograms and the
+  hit/miss/throughput perf counters of every cache and fast path
+  (:mod:`repro.obs.metrics`),
 * ``telemetry().events`` — the structured :class:`EventLog` every finished
   span lands in, exportable as canonical JSONL
   (:mod:`repro.obs.events`), and
@@ -162,7 +162,7 @@ class Telemetry:
 
 _GLOBAL_LOCK = threading.Lock()
 #: The global instance observes into the shared default registry, the same
-#: one ``repro.perf.counters`` records through — one unified store.
+#: one the hot paths record their perf counters into — one unified store.
 _TELEMETRY = Telemetry(metrics=default_registry())
 
 
@@ -178,7 +178,8 @@ def configure(
 ) -> Telemetry:
     """Adjust the global telemetry in place (references stay valid).
 
-    The instance itself is never replaced: the perf-counter facade and any
+    The instance itself is never replaced: the hot paths recording perf
+    counters through :func:`~repro.obs.metrics.default_registry` and any
     code holding ``telemetry().metrics`` keep observing the same registry.
     """
     with _GLOBAL_LOCK:

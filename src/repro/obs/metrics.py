@@ -7,9 +7,11 @@ One process-wide :class:`MetricsRegistry` (owned by the telemetry facade in
 * :class:`Gauge` — a last-write-wins sample,
 * :class:`Histogram` — a fixed-boundary latency histogram with p50/p95/p99
   and exact min/max/sum summaries, and
-* :class:`PerfCounter` — the engine's original hit/miss/throughput counter,
-  folded into this registry so ``repro.perf.counters`` keeps its public API
-  while ``obs report``/``obs export`` see one unified store.
+* :class:`PerfCounter` — the hit/miss/throughput tally every cache and
+  fast path records through :meth:`MetricsRegistry.record_perf_hit`,
+  :meth:`~MetricsRegistry.record_perf_miss` and
+  :meth:`~MetricsRegistry.record_perf_work`, so ``obs report``/``obs
+  export`` see one unified store.
 
 All mutation happens under one registry lock, and :meth:`MetricsRegistry.
 snapshot` copies everything atomically — reports render from a snapshot,
@@ -19,10 +21,9 @@ updates and print a torn row).
 **Dimensional (labeled) series.**  Every recorder takes an optional
 ``labels=`` mapping (e.g. ``{"tenant": "alpha"}``).  A labeled sample is
 recorded twice under the one lock hold: once into the bare base series
-(the roll-up existing flat-name callers — ``repro.perf.counters``, the
-reports — keep reading) and once into a canonical per-label series keyed
-``name{key=value,...}`` with label keys sorted.  :func:`labeled_name` and
-:func:`parse_labeled_name` are the two sides of that key convention;
+(the roll-up the reports read) and once into a canonical per-label series
+keyed ``name{key=value,...}`` with label keys sorted.  :func:`labeled_name`
+and :func:`parse_labeled_name` are the two sides of that key convention;
 consumers such as :mod:`repro.obs.slo` split snapshot keys back into
 ``(base, labels)`` pairs to aggregate per tenant.
 """
@@ -421,14 +422,15 @@ class MetricsRegistry:
             self._perf.clear()
 
     def reset_perf(self) -> None:
-        """Drop only the folded perf counters (``perf.reset_counters``)."""
+        """Drop only the perf counters, keeping every other metric."""
         with self._lock:
             self._perf.clear()
 
 
 #: The process-wide registry.  It lives here — a leaf module — so both the
-#: telemetry facade (:mod:`repro.obs`) and the legacy perf-counter API
-#: (:mod:`repro.perf.counters`) can share it without an import cycle.
+#: telemetry facade (:mod:`repro.obs`) and the hot paths that record perf
+#: counters into it (the inverse mapping, the planner, the memo caches) can
+#: share it without an import cycle.
 _DEFAULT_REGISTRY = MetricsRegistry()
 
 

@@ -1,40 +1,22 @@
-"""Engine fast-path support: counters, memoisation and parallel sweeps.
+"""Engine fast-path support: memoisation and parallel sweeps.
 
-The serving-path optimisations (vectorised inverse mapping, evaluator
-memoisation, parallel optimality sweeps) share three small pieces of
-infrastructure, collected here so they stay observable and testable:
+The serving-path optimisations (evaluator memoisation, parallel
+optimality sweeps) share two small pieces of infrastructure, collected
+here so they stay testable:
 
-* :mod:`repro.perf.counters` — process-wide hit/miss/throughput counters
-  behind every cache and fast path (rendered by ``python -m repro perf``),
 * :mod:`repro.perf.memo` — an LRU of :class:`PatternEvaluator` instances
   keyed by *method signature*, so behaviourally identical methods share
-  their spectra across instances,
+  their spectra across instances (hits and misses land on the
+  ``evaluator_lru`` perf counter of
+  :func:`repro.obs.metrics.default_registry`),
 * :mod:`repro.perf.parallel` — a deterministic ordered ``parallel_map``
   used by the optimality and assignment-search sweeps.
 """
 
-from repro.perf.counters import (
-    PerfCounter,
-    counter,
-    record_hit,
-    record_miss,
-    record_work,
-    render_report,
-    reset_counters,
-    snapshot,
-)
 from repro.perf.memo import method_signature, shared_evaluator
 from repro.perf.parallel import parallel_map, resolve_workers
 
 __all__ = [
-    "PerfCounter",
-    "counter",
-    "record_hit",
-    "record_miss",
-    "record_work",
-    "render_report",
-    "reset_counters",
-    "snapshot",
     "method_signature",
     "shared_evaluator",
     "parallel_map",

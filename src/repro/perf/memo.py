@@ -19,7 +19,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
-from repro.perf.counters import record_hit, record_miss
+from repro.obs.metrics import default_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.analysis.histograms import PatternEvaluator
@@ -52,7 +52,7 @@ class LRUCache:
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
-                record_hit(self.counter_name)
+                default_registry().record_perf_hit(self.counter_name)
                 return self._data[key]
         # Build outside the lock: factories (evaluator construction) can be
         # expensive and must not serialise unrelated lookups.
@@ -60,9 +60,9 @@ class LRUCache:
         with self._lock:
             if key in self._data:  # another thread won the race; keep theirs
                 self._data.move_to_end(key)
-                record_hit(self.counter_name)
+                default_registry().record_perf_hit(self.counter_name)
                 return self._data[key]
-            record_miss(self.counter_name)
+            default_registry().record_perf_miss(self.counter_name)
             self._data[key] = value
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.hashing.fields import Bucket
 from repro.obs import telemetry, trace_span
-from repro.perf.counters import record_work
+from repro.obs.metrics import default_registry
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.retry import RetryPolicy
 from repro.storage.executor import ExecutionResult, SingleQueryExecutor
@@ -243,12 +243,13 @@ class DegradedExecutor(SingleQueryExecutor):
         return backup
 
     def _record_counters(self, result: DegradedExecutionResult) -> None:
-        record_work("runtime.queries", 1)
+        record = default_registry().record_perf_work
+        record("runtime.queries", 1)
         if result.retries:
-            record_work("runtime.retries", result.retries)
+            record("runtime.retries", result.retries)
         if result.timeouts:
-            record_work("runtime.timeouts", result.timeouts)
+            record("runtime.timeouts", result.timeouts)
         if result.failovers:
-            record_work("runtime.failovers", result.failovers)
+            record("runtime.failovers", result.failovers)
         if result.failovers or result.lost_buckets:
-            record_work("runtime.degraded_queries", 1)
+            record("runtime.degraded_queries", 1)

@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from repro.distribution.base import DistributionMethod
 from repro.distribution.replicated import ChainedReplicaScheme
 from repro.errors import ConfigurationError
-from repro.perf.counters import record_work
+from repro.obs.metrics import default_registry
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.retry import RetryPolicy
 from repro.storage.costs import DeviceCostModel
@@ -216,13 +216,14 @@ class FaultAwareQuerySimulator(ParallelQuerySimulator):
         return backup
 
     def _record_counters(self, report: SimulationReport) -> None:
-        record_work("runtime.sim.queries", len(report.queries))
+        record = default_registry().record_perf_work
+        record("runtime.sim.queries", len(report.queries))
         if report.retries:
-            record_work("runtime.retries", report.retries)
+            record("runtime.retries", report.retries)
         if report.timeouts:
-            record_work("runtime.timeouts", report.timeouts)
+            record("runtime.timeouts", report.timeouts)
         if report.failovers:
-            record_work("runtime.failovers", report.failovers)
+            record("runtime.failovers", report.failovers)
         degraded = sum(1 for q in report.queries if q.completeness < 1.0)
         if degraded:
-            record_work("runtime.degraded_queries", degraded)
+            record("runtime.degraded_queries", degraded)

@@ -14,16 +14,13 @@ plus page-level accounting (:meth:`pages_in`, :attr:`page_count`,
 
 from __future__ import annotations
 
-from ast import literal_eval
 from collections.abc import Iterable, Iterator
-
-import numpy as np
 
 from repro.errors import ConfigurationError, StorageError
 from repro.hashing.fields import Bucket
 from repro.storage.bucket_store import content_digest
 
-__all__ = ["PagedBucketStore", "PackedPageStore"]
+__all__ = ["PagedBucketStore"]
 
 
 class _Chain:
@@ -195,280 +192,3 @@ class PagedBucketStore:
             freed += len(chain.pages) - len(new_pages)
             chain.pages = new_pages
         return freed
-
-
-class _PackedPage:
-    """One page as serialised bytes: records laid end to end in a buffer.
-
-    ``ends[k]`` is the byte offset one past record *k*'s encoding, so the
-    *k*-th record occupies ``buf[ends[k-1]:ends[k]]``.  ``cache`` memoises
-    the decoded records; any buffer mutation drops it.
-    """
-
-    __slots__ = ("buf", "ends", "cache")
-
-    def __init__(self) -> None:
-        self.buf = bytearray()
-        self.ends: list[int] = []
-        self.cache: tuple[object, ...] | None = None
-
-    def decode(self) -> tuple[object, ...]:
-        if self.cache is None:
-            start = 0
-            records = []
-            for end in self.ends:
-                records.append(
-                    literal_eval(bytes(self.buf[start:end]).decode("utf-8"))
-                )
-                start = end
-            self.cache = tuple(records)
-        return self.cache
-
-
-def _encode_record(record: object) -> bytes:
-    return repr(record).encode("utf-8")
-
-
-class PackedPageStore:
-    """Page store whose pages are byte buffers, not lists of objects.
-
-    The zero-copy counterpart of :class:`PagedBucketStore`: each page is a
-    ``bytearray`` holding the canonical encodings (``repr``) of its records
-    laid end to end.  Because the buffer *is* the stored state, integrity
-    machinery can run directly over it — :meth:`page_views` exposes each
-    page as a :class:`memoryview` and :meth:`page_array` as a
-    ``numpy.frombuffer`` byte array, so CRC and scrub passes touch the
-    bytes without decoding (or copying) a single record.  Decoding is lazy
-    and memoised per page; mutations drop only the affected page's cache.
-
-    Records must round-trip through ``repr``/``ast.literal_eval`` — true
-    for this repository's record convention (tuples of ints and strings)
-    and checked at insert time, so a non-literal record fails fast rather
-    than corrupting a page.
-
-    Same interface and page accounting as :class:`PagedBucketStore`;
-    deletes re-encode the one affected page densely, so chains never carry
-    holes (``compact`` only merges underfull pages).
-
-    >>> store = PackedPageStore(page_capacity=2)
-    >>> for i in range(5):
-    ...     store.insert((0,), (i, "r"))
-    >>> store.pages_in((0,))
-    3
-    >>> store.records_in((0,))[:2]
-    ((0, 'r'), (1, 'r'))
-    """
-
-    def __init__(self, page_capacity: int = 4):
-        if page_capacity < 1:
-            raise ConfigurationError("page capacity must be at least 1")
-        self.page_capacity = page_capacity
-        self._pages: dict[Bucket, list[_PackedPage]] = {}
-        self._record_count = 0
-
-    # ------------------------------------------------------------------
-    # BucketStore interface
-    # ------------------------------------------------------------------
-    def insert(self, bucket: Bucket, record: object) -> None:
-        encoded = _encode_record(record)
-        try:
-            decoded = literal_eval(encoded.decode("utf-8"))
-        except (ValueError, SyntaxError):
-            raise StorageError(
-                f"record {record!r} does not round-trip through the "
-                f"canonical literal encoding"
-            ) from None
-        if decoded != record:
-            raise StorageError(
-                f"record {record!r} decodes to {decoded!r}; refusing a "
-                f"lossy encoding"
-            )
-        chain = self._pages.setdefault(tuple(bucket), [])
-        for page in chain:
-            if len(page.ends) < self.page_capacity:
-                break
-        else:
-            page = _PackedPage()
-            chain.append(page)
-        page.buf.extend(encoded)
-        page.ends.append(len(page.buf))
-        page.cache = None
-        self._record_count += 1
-
-    def delete(self, bucket: Bucket, record: object) -> bool:
-        """Remove one occurrence, re-encoding the affected page densely."""
-        key = tuple(bucket)
-        chain = self._pages.get(key)
-        if chain is None:
-            return False
-        for page in chain:
-            records = list(page.decode())
-            try:
-                records.remove(record)
-            except ValueError:
-                continue
-            self._record_count -= 1
-            self._repack_page(page, records)
-            # Like the tuple-paged store, an emptied page persists until
-            # compact() — dropping it would shift where the next insert
-            # lands and break layout lockstep with PagedBucketStore.
-            if all(not p.ends for p in chain):
-                del self._pages[key]
-            return True
-        return False
-
-    def clear(self) -> None:
-        self._pages.clear()
-        self._record_count = 0
-
-    def replace_bucket(self, bucket: Bucket, records: Iterable[object]) -> None:
-        key = tuple(bucket)
-        old = self._pages.pop(key, None)
-        if old is not None:
-            self._record_count -= sum(len(page.ends) for page in old)
-        fresh = list(records)
-        if fresh:
-            chain: list[_PackedPage] = []
-            for i in range(0, len(fresh), self.page_capacity):
-                page = _PackedPage()
-                self._repack_page(page, fresh[i : i + self.page_capacity])
-                chain.append(page)
-            self._pages[key] = chain
-            self._record_count += len(fresh)
-
-    def records_in(self, bucket: Bucket) -> tuple[object, ...]:
-        chain = self._pages.get(tuple(bucket))
-        if chain is None:
-            return ()
-        records: list[object] = []
-        for page in chain:
-            records.extend(page.decode())
-        return tuple(records)
-
-    def has_bucket(self, bucket: Bucket) -> bool:
-        return tuple(bucket) in self._pages
-
-    def buckets(self) -> Iterator[Bucket]:
-        return iter(self._pages)
-
-    @property
-    def record_count(self) -> int:
-        return self._record_count
-
-    @property
-    def bucket_count(self) -> int:
-        return len(self._pages)
-
-    def state_digest(self) -> str:
-        return content_digest(
-            (bucket, self.records_in(bucket)) for bucket in self._pages
-        )
-
-    def check_invariants(self) -> None:
-        actual = sum(
-            len(page.ends)
-            for chain in self._pages.values()
-            for page in chain
-        )
-        if actual != self._record_count:
-            raise StorageError(
-                f"record count drifted: cached {self._record_count}, "
-                f"actual {actual}"
-            )
-        for bucket, chain in self._pages.items():
-            if not chain:
-                raise StorageError(f"bucket {bucket} with an empty chain")
-            if all(not page.ends for page in chain):
-                # Holes persist until compact(), but a chain of *only*
-                # holes means the bucket should have been dropped.
-                raise StorageError(f"bucket {bucket} holds no records")
-            for page in chain:
-                if len(page.ends) > self.page_capacity:
-                    raise StorageError(f"overfull page in bucket {bucket}")
-                if page.ends != sorted(page.ends) or (
-                    page.ends[-1] if page.ends else 0
-                ) != len(page.buf):
-                    raise StorageError(
-                        f"page offsets inconsistent in bucket {bucket}"
-                    )
-
-    # ------------------------------------------------------------------
-    # Zero-copy access
-    # ------------------------------------------------------------------
-    def page_views(self, bucket: Bucket) -> list[memoryview]:
-        """Each page of *bucket* as a :class:`memoryview` (no copying).
-
-        The buffers these views alias are the live stored state — they are
-        what checksums should cover, and what corruption would hit.  The
-        views are read-only: aliasing is for verification, not mutation
-        (damage goes through :meth:`corrupt_bucket` on the checksummed
-        subclass).
-        """
-        chain = self._pages.get(tuple(bucket))
-        if chain is None:
-            return []
-        return [memoryview(page.buf).toreadonly() for page in chain]
-
-    def page_array(self, bucket: Bucket, page_index: int) -> np.ndarray:
-        """One page's bytes as a read-only ``uint8`` NumPy view."""
-        chain = self._pages.get(tuple(bucket))
-        if chain is None or not 0 <= page_index < len(chain):
-            raise StorageError(
-                f"bucket {tuple(bucket)} has no page {page_index}"
-            )
-        array = np.frombuffer(chain[page_index].buf, dtype=np.uint8)
-        array.flags.writeable = False
-        return array
-
-    # ------------------------------------------------------------------
-    # Page accounting
-    # ------------------------------------------------------------------
-    def pages_in(self, bucket: Bucket) -> int:
-        chain = self._pages.get(tuple(bucket))
-        return len(chain) if chain else 0
-
-    @property
-    def page_count(self) -> int:
-        return sum(len(chain) for chain in self._pages.values())
-
-    def average_chain_length(self) -> float:
-        if not self._pages:
-            return 0.0
-        return self.page_count / len(self._pages)
-
-    def occupancy(self) -> float:
-        """Fraction of record slots in use (slots, not bytes: the page
-        model charges reads per page regardless of byte fill)."""
-        pages = self.page_count
-        if pages == 0:
-            return 0.0
-        return self._record_count / (pages * self.page_capacity)
-
-    def compact(self) -> int:
-        """Merge underfull pages left by deletes; returns pages freed."""
-        freed = 0
-        for chain in self._pages.values():
-            records: list[object] = []
-            for page in chain:
-                records.extend(page.decode())
-            old_pages = len(chain)
-            chain.clear()
-            for i in range(0, len(records), self.page_capacity):
-                page = _PackedPage()
-                self._repack_page(page, records[i : i + self.page_capacity])
-                chain.append(page)
-            freed += old_pages - len(chain)
-        return freed
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _repack_page(page: _PackedPage, records: list[object]) -> None:
-        """Re-encode *records* as *page*'s new dense contents."""
-        page.buf = bytearray()
-        page.ends = []
-        for record in records:
-            page.buf.extend(_encode_record(record))
-            page.ends.append(len(page.buf))
-        page.cache = tuple(records)

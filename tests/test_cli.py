@@ -160,29 +160,6 @@ class TestRecommendCommand:
         assert "Modulo".lower() in out.lower()
 
 
-class TestPerfCommand:
-    def test_perf_report_shows_counters(self, capsys):
-        assert main(
-            ["perf", "report", "--fields", "8,8", "--devices", "8"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Engine perf counters" in out
-        assert "evaluator_lru" in out
-        assert "pattern_histogram" in out
-        assert "inverse mapping sweep" in out
-
-    def test_perf_report_parallel_and_modulo(self, capsys):
-        assert main(
-            ["perf", "report", "--fields", "4,4,4", "--devices", "8",
-             "--method", "modulo", "--parallel", "2"]
-        ) == 0
-        assert "modulo" in capsys.readouterr().out
-
-    def test_perf_unknown_action_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["perf", "bogus", "--fields", "4,4", "--devices", "8"])
-
-
 class TestParallelFlags:
     def test_census_parallel_matches_serial(self, capsys):
         args = ["census", "--fields", "4,4", "--devices", "16",

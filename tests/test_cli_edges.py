@@ -14,6 +14,14 @@ class TestErrorHandling:
             ["census", "--fields", "8,8", "--devices", "4",
              "--method", "gdm", "--multipliers", "1,z"],
             ["design", "--probabilities", "0.5,abc", "--bits", "4"],
+            # Out-of-range devices and ports are rejected, not wrapped or
+            # left to crash in the socket layer.
+            ["recover", "rebuild", "--fields", "4,4", "--devices", "8",
+             "--records", "16", "--lose", "8"],
+            ["recover", "rebuild", "--fields", "4,4", "--devices", "8",
+             "--records", "16", "--lose", "-1"],
+            ["gateway", "--fields", "4,4", "--devices", "4",
+             "--port", "70000"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)

@@ -7,7 +7,7 @@ records in the same order, same per-device counts, same modelled times —
 with only the ``mode`` provenance marker differing.  These tests pin that
 contract with randomized property tests over filesystems, methods, query
 mixes and interleaved writes, then cover the satellite surfaces: packed
-signatures, zero-copy packed stores, the batched cache path, explicit
+signatures, damaged checksummed pages, the batched cache path, explicit
 service batches and the batched optimality checker.
 """
 
@@ -26,10 +26,7 @@ from repro.core.fx import FXDistribution
 from repro.core.inverse import bucket_strides, separable_qualified_flat_batch
 from repro.distribution.modulo import ModuloDistribution
 from repro.durability import DeviceRebuilder, Scrubber
-from repro.durability.checksummed_store import (
-    ChecksummedBucketStore,
-    PackedChecksummedStore,
-)
+from repro.durability.checksummed_store import ChecksummedBucketStore
 from repro.engine.plan import ArrayBatchPlanner
 from repro.engine.signature import dedupe_queries, pack_queries, pack_query
 from repro.errors import CorruptPageError
@@ -42,13 +39,12 @@ from repro.storage.bucket_store import BucketStore
 from repro.storage.cache import CachedExecutor
 from repro.storage.executor import QueryExecutor
 from repro.storage.migration import Migration
-from repro.storage.paged_store import PackedPageStore, PagedBucketStore
 from repro.storage.parallel_file import PartitionedFile
 
 _METHODS = ["fx", "gdm", "modulo", "random"]
 _SIZES = st.sampled_from([2, 4, 8])
 #: Every store type the engine reads through the device (None = plain).
-_STORES = [None, ChecksummedBucketStore, PackedChecksummedStore]
+_STORES = [None, ChecksummedBucketStore]
 
 
 @st.composite
@@ -428,88 +424,35 @@ class TestBatchKernel:
             assert offset == flat.size
 
 
-class TestPackedStores:
-    @given(st.integers(0, 2**20), st.integers(1, 6))
-    @settings(max_examples=25, deadline=None)
-    def test_packed_store_matches_paged_store(self, seed, page_capacity):
-        # The byte-packed store must mirror the tuple-paged store exactly:
-        # same first-page-with-room placement, same record order, same
-        # digest.  (A flat BucketStore differs legitimately — it has no
-        # holes to reuse.)
-        rng = random.Random(seed)
-        packed = PackedPageStore(page_capacity=page_capacity)
-        plain = PagedBucketStore(page_capacity=page_capacity)
-        live = []
-        for __ in range(200):
-            op = rng.random()
-            bucket = (rng.randrange(4), rng.randrange(4))
-            if op < 0.6 or not live:
-                record = (rng.randrange(100), "x" * rng.randrange(3))
-                packed.insert(bucket, record)
-                plain.insert(bucket, record)
-                live.append((bucket, record))
-            elif op < 0.85:
-                victim, record = live.pop(rng.randrange(len(live)))
-                assert packed.delete(victim, record) == plain.delete(
-                    victim, record
-                )
-            else:
-                records = [(rng.randrange(10),) for __ in range(3)]
-                packed.replace_bucket(bucket, records)
-                plain.replace_bucket(bucket, records)
-                live = [(b, r) for b, r in live if b != bucket]
-                live.extend((bucket, r) for r in records)
-        assert packed.state_digest() == plain.state_digest()
-        assert packed.record_count == plain.record_count
-        for bucket in plain.buckets():
-            assert packed.records_in(bucket) == plain.records_in(bucket)
-            assert packed.pages_in(bucket) == plain.pages_in(bucket)
-        packed.check_invariants()
+class TestCorruptPages:
+    """A damaged page fails the batch read that needs it, whether the
+    engine lists the device's present set before or after the damage:
+    ``corrupt_bucket`` bypasses the device, so its epoch does not move."""
 
-    def test_page_views_are_zero_copy(self):
-        store = PackedPageStore(page_capacity=2)
-        store.insert((0,), (1, "a"))
-        (view,) = store.page_views((0,))
-        assert isinstance(view, memoryview) and view.readonly
-        arr = store.page_array((0,), 0)
-        assert arr.dtype.name == "uint8" and not arr.flags.writeable
-        assert bytes(view) == arr.tobytes()
-
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("reader", ["engine", "cache"])
     @pytest.mark.parametrize("kind", ["tamper", "drop"])
-    def test_checksummed_packed_store_detects_damage(self, kind):
-        store = PackedChecksummedStore(page_capacity=2)
-        store.insert((0,), (1, "a"))
-        store.insert((0,), (2, "b"))
-        assert store.verify_bucket((0,))
-        store.corrupt_bucket((0,), kind=kind)
-        assert not store.verify_bucket((0,))
-        with pytest.raises(CorruptPageError):
-            store.records_in((0,))
-        store.replace_bucket((0,), [(3, "c")])  # repair path
-        assert store.verify_bucket((0,))
-        assert store.records_in((0,)) == ((3, "c"),)
-
-    def test_engine_sees_dropped_packed_pages(self):
+    def test_batch_read_raises_on_damaged_page(self, kind, reader, warm):
         method = make_method("fx", fields=(4, 4), devices=4)
-        pf = PartitionedFile(method, store_factory=PackedChecksummedStore)
-        bucket = pf.insert((1, 2))
-        engine = BatchEngine(pf)
-        device = next(
-            d for d in pf.devices if d.store.has_bucket(bucket)
+        pf = PartitionedFile(
+            method, store_factory=counting(ChecksummedBucketStore)
         )
-        device.store.corrupt_bucket(bucket, kind="drop")
+        bucket = pf.insert((1, 2))
+        store = next(
+            d.store for d in pf.devices if d.store.has_bucket(bucket)
+        )
+        if reader == "engine":
+            read = BatchEngine(pf).execute
+        else:
+            read = CachedExecutor(pf, capacity=16).lookup_batch
+        if warm:
+            # Lists every device's present set without reading *bucket*.
+            read([pf.query({0: 0})])
+        assert store.listings == int(warm) and not store.reads
+        store.corrupt_bucket(bucket, kind=kind)
         with pytest.raises(CorruptPageError):
-            engine.execute([pf.query({0: 1})])
-
-    @given(engine_cases())
-    @settings(max_examples=15, deadline=None)
-    def test_engine_identity_over_packed_store(self, case):
-        pf, queries = case
-        packed = refile(pf, PackedChecksummedStore)
-        serial = QueryExecutor(packed)
-        report = BatchEngine(packed).execute(queries)
-        for query, result in zip(queries, report.results):
-            assert_results_identical(result, serial.execute(query))
+            read([pf.query({0: 1})])
+        assert store.listings == 1
 
 
 class TestBatchedCache:

@@ -854,6 +854,12 @@ class TestMakeGateway:
         with pytest.raises(ConfigurationError):
             Gateway([])
 
+    def test_gateway_config_rejects_out_of_range_port(self):
+        for port in (-1, 65536, 70000):
+            with pytest.raises(ConfigurationError, match="port"):
+                GatewayConfig(port=port)
+        assert GatewayConfig(port=65535).port == 65535
+
 
 # ======================================================================
 # CLI exit semantics

@@ -1,7 +1,7 @@
 """Tests for the unified telemetry layer (``repro.obs``).
 
 Covers the injectable clocks, span tracing and nesting, the metrics
-registry (including the folded perf counters), the structured event log
+registry (including the perf counters), the structured event log
 and its JSONL schema, the byte-identical deterministic export, the
 telemetry-driven optimality checker, and the ``repro obs`` CLI group.
 """
@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.cli import main
+from repro.cli import _perf_table, main
 from repro.core.fx import FXDistribution
 from repro.core.optimality import optimality_report
 from repro.distribution.modulo import ModuloDistribution
@@ -30,15 +30,6 @@ from repro.obs import (
     trace_span,
     validate_jsonl,
     validate_record,
-)
-from repro.perf import (
-    counter,
-    record_hit,
-    record_miss,
-    record_work,
-    render_report,
-    reset_counters,
-    snapshot,
 )
 from repro.query.partial_match import PartialMatchQuery
 from repro.query.patterns import all_patterns, queries_for_pattern
@@ -203,41 +194,32 @@ class TestMetricsRegistry:
 
 
 class TestPerfFold:
-    """The legacy ``repro.perf.counters`` API records into the registry."""
-
-    def test_perf_api_visible_in_obs_snapshot(self):
-        reset_counters()
-        record_hit("fold_check", 2)
-        record_miss("fold_check")
-        record_work("fold_check", events=10, seconds=0.5)
-        perf = telemetry().metrics.snapshot().perf["fold_check"]
-        assert (perf.hits, perf.misses, perf.events) == (2, 1, 10)
-        assert counter("fold_check") is not None
-        assert snapshot()["fold_check"].hits == 2
+    """Perf counters live in the registry beside the other metrics."""
 
     def test_none_aware_accessors(self):
-        reset_counters()
-        c = counter("untouched")
+        metrics = telemetry().metrics
+        c = metrics.perf_counter("untouched")
         assert c.hit_rate_or_none is None
         assert c.rate_or_none is None
         assert not c.measured
         assert c.hit_rate == 0.0 and c.rate == 0.0
-        record_hit("untouched")
-        assert counter("untouched").hit_rate_or_none == pytest.approx(1.0)
-        assert counter("untouched").measured
+        metrics.record_perf_hit("untouched")
+        assert c.hit_rate_or_none == pytest.approx(1.0)
+        assert c.measured
 
     def test_render_report_prints_dash_for_unmeasured(self):
-        reset_counters()
-        record_work("dash_check", events=5, seconds=0.0)
-        text = render_report()
+        metrics = telemetry().metrics
+        metrics.record_perf_work("dash_check", events=5, seconds=0.0)
+        text = _perf_table(metrics.snapshot())
         line = next(l for l in text.splitlines() if "dash_check" in l)
         assert "-" in line  # no lookups and no measured seconds
 
     def test_reset_counters_leaves_other_metrics(self):
-        telemetry().metrics.add("survivor")
-        record_hit("doomed")
-        reset_counters()
-        snap = telemetry().metrics.snapshot()
+        metrics = telemetry().metrics
+        metrics.add("survivor")
+        metrics.record_perf_hit("doomed")
+        metrics.reset_perf()
+        snap = metrics.snapshot()
         assert "doomed" not in snap.perf
         assert snap.counters["survivor"] == 1
 

@@ -1,63 +1,61 @@
-"""Tests for the perf package: counters, memoisation, parallel map."""
+"""Tests for the perf package (memoisation, parallel map) and the perf
+counters its caches record into the metrics registry."""
 
 import pytest
 
 from repro.analysis.histograms import evaluator_for, pattern_histogram
+from repro.cli import _perf_table
 from repro.core.fx import FXDistribution
 from repro.distribution.modulo import ModuloDistribution
 from repro.hashing.fields import FileSystem
+from repro.obs.metrics import default_registry
 from repro.perf import (
-    counter,
     method_signature,
     parallel_map,
-    record_hit,
-    record_miss,
-    record_work,
-    render_report,
-    reset_counters,
     resolve_workers,
     shared_evaluator,
-    snapshot,
 )
 from repro.perf.memo import LRUCache, clear_memo
+
+REGISTRY = default_registry()
 
 
 @pytest.fixture(autouse=True)
 def _clean_counters():
-    reset_counters()
+    REGISTRY.reset_perf()
     yield
-    reset_counters()
+    REGISTRY.reset_perf()
 
 
 class TestCounters:
     def test_hit_miss_and_rate(self):
-        record_hit("c", 3)
-        record_miss("c")
-        c = counter("c")
+        REGISTRY.record_perf_hit("c", 3)
+        REGISTRY.record_perf_miss("c")
+        c = REGISTRY.perf_counter("c")
         assert (c.hits, c.misses, c.lookups) == (3, 1, 4)
         assert c.hit_rate == pytest.approx(0.75)
 
     def test_throughput(self):
-        record_work("w", events=500, seconds=0.25)
-        assert counter("w").rate == pytest.approx(2000.0)
-        assert counter("idle").rate == 0.0
+        REGISTRY.record_perf_work("w", events=500, seconds=0.25)
+        assert REGISTRY.perf_counter("w").rate == pytest.approx(2000.0)
+        assert REGISTRY.perf_counter("idle").rate == 0.0
 
     def test_snapshot_is_a_copy(self):
-        record_hit("c")
-        snap = snapshot()
-        record_hit("c")
+        REGISTRY.record_perf_hit("c")
+        snap = REGISTRY.snapshot().perf
+        REGISTRY.record_perf_hit("c")
         assert snap["c"].hits == 1
-        assert counter("c").hits == 2
+        assert REGISTRY.perf_counter("c").hits == 2
 
     def test_render_report_mentions_counters(self):
-        record_hit("evaluator_lru")
-        record_miss("evaluator_lru")
-        text = render_report()
+        REGISTRY.record_perf_hit("evaluator_lru")
+        REGISTRY.record_perf_miss("evaluator_lru")
+        text = _perf_table(REGISTRY.snapshot())
         assert "evaluator_lru" in text
         assert "50.0%" in text
 
     def test_render_report_empty_registry(self):
-        assert "no activity" in render_report()
+        assert "no activity" in _perf_table(REGISTRY.snapshot())
 
 
 class TestLRUCache:
@@ -76,7 +74,7 @@ class TestLRUCache:
         lru = LRUCache(4, "lru_test")
         lru.get_or_create("k", lambda: 1)
         lru.get_or_create("k", lambda: 2)
-        c = counter("lru_test")
+        c = REGISTRY.perf_counter("lru_test")
         assert (c.hits, c.misses) == (1, 1)
 
     def test_rejects_nonpositive_size(self):
@@ -115,7 +113,7 @@ class TestEvaluatorMemoisation:
         first = shared_evaluator(FXDistribution(fs))
         second = shared_evaluator(FXDistribution(fs))
         assert first is second
-        c = counter("evaluator_lru")
+        c = REGISTRY.perf_counter("evaluator_lru")
         assert c.hits >= 1 and c.misses >= 1
 
     def test_evaluator_for_records_lru_hits(self):
@@ -123,18 +121,18 @@ class TestEvaluatorMemoisation:
         fs = FileSystem.of(4, 8, m=8)
         fx = FXDistribution(fs)
         evaluator_for(fx)
-        before = counter("evaluator_lru").hits
+        before = REGISTRY.perf_counter("evaluator_lru").hits
         evaluator_for(fx)
-        assert counter("evaluator_lru").hits == before + 1
+        assert REGISTRY.perf_counter("evaluator_lru").hits == before + 1
 
     def test_repeated_pattern_histograms_hit_cache(self):
         clear_memo()
         fs = FileSystem.of(4, 8, m=8)
         fx = FXDistribution(fs)
         first = pattern_histogram(fx, {0, 1})
-        before = counter("pattern_histogram").hits
+        before = REGISTRY.perf_counter("pattern_histogram").hits
         second = pattern_histogram(fx, {0, 1})
-        assert counter("pattern_histogram").hits == before + 1
+        assert REGISTRY.perf_counter("pattern_histogram").hits == before + 1
         assert second is first          # memoised, returned read-only
         assert not second.flags.writeable
         assert first.sum() == 32

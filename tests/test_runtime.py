@@ -337,16 +337,17 @@ class TestFaultAwareSimulator:
 
 class TestRuntimeCounters:
     def test_degraded_queries_and_failovers_recorded(self):
-        from repro.perf import reset_counters, snapshot
+        from repro.obs.metrics import default_registry
 
-        reset_counters()
+        registry = default_registry()
+        registry.reset_perf()
         DegradedExecutor(
             _replicated_file(), plan=FaultPlan.fail([0])
         ).search({0: RECORDS[0][0]})
         DegradedExecutor(
             _plain_file(), plan=FaultPlan.fail([0])
         ).search({0: RECORDS[0][0]})
-        counters = snapshot()
+        counters = registry.snapshot().perf
         assert counters["runtime.queries"].events == 2
         assert counters["runtime.failovers"].events > 0
         assert counters["runtime.degraded_queries"].events == 2
