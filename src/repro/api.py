@@ -31,7 +31,7 @@ factory                 adds
 :func:`make_service`    the same store options (minus replication) +
                         serving knobs mirroring
                         :class:`~repro.service.ServiceConfig`
-                        (admission retry, cache, coalescing)
+                        (admission limits, deadline, cache size)
 :func:`make_gateway`    the same serving knobs as tenant-wide defaults +
                         network knobs mirroring
                         :class:`~repro.gateway.GatewayConfig`
@@ -244,9 +244,7 @@ def make_service(
     max_concurrent: int = 8,
     queue_limit: int = 32,
     deadline_ms: float | None = None,
-    admission_retry=None,
-    cache_capacity: int | None = 64,
-    coalesce: bool = True,
+    cache_capacity: int = 64,
     checksummed: bool = False,
     cost_model=None,
     **opts: object,
@@ -254,7 +252,7 @@ def make_service(
     """Build a ready-to-serve :class:`~repro.service.QueryService`:
     a partitioned file under the named distribution method, fronted by
     admission control, request coalescing and the write-aware result
-    cache.
+    cache (every service has all three).
 
     The serving knobs mirror :class:`~repro.service.ServiceConfig`;
     ``checksummed`` puts :class:`~repro.durability.ChecksummedBucketStore`
@@ -269,7 +267,6 @@ def make_service(
     >>> service.execute(service.file.query({0: 1})).status
     'ok'
     """
-    from repro.runtime import RetryPolicy
     from repro.service import QueryService, ServiceConfig
     from repro.storage.parallel_file import PartitionedFile
 
@@ -283,9 +280,7 @@ def make_service(
         max_concurrent=max_concurrent,
         queue_limit=queue_limit,
         deadline_ms=deadline_ms,
-        admission_retry=admission_retry or RetryPolicy.none(),
         cache_capacity=cache_capacity,
-        coalesce=coalesce,
     )
     return QueryService(
         PartitionedFile(
@@ -301,9 +296,7 @@ SERVICE_OPTION_NAMES = (
     "max_concurrent",
     "queue_limit",
     "deadline_ms",
-    "admission_retry",
     "cache_capacity",
-    "coalesce",
     "checksummed",
     "cost_model",
 )
@@ -403,7 +396,7 @@ def make_gateway(
         knobs = {
             key: value
             for key, value in merged.items()
-            if key in config_fields and value is not None
+            if key in config_fields
         }
         try:
             ServiceConfig(**knobs).validate()

@@ -98,6 +98,64 @@ def _add_filesystem_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _serving_parser() -> argparse.ArgumentParser:
+    """The options ``serve`` and ``gateway`` share, as a parent parser.
+
+    Built afresh per command: argparse shares a parent's actions with
+    every child, so one instance would let a child's ``set_defaults``
+    (``--requests`` and ``--write-every`` differ) leak into the other.
+    """
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_filesystem_arguments(parser)
+    parser.add_argument(
+        "--method", default="fx", choices=list(method_names()),
+        help="distribution method of the served file(s)",
+    )
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for the records and request logs")
+    parser.add_argument("--p", type=float, default=0.5,
+                        help="per-field specification probability")
+    parser.add_argument("--requests", type=int,
+                        help="requests issued by each client or connection")
+    parser.add_argument(
+        "--write-every", type=int, dest="write_every",
+        help="every k-th request of a client is an insert (0 = none)",
+    )
+    parser.add_argument(
+        "--max-concurrent", type=int, default=8, dest="max_concurrent",
+        help="requests a service runs at once before queueing",
+    )
+    parser.add_argument(
+        "--queue-limit", type=int, default=32, dest="queue_limit",
+        help="waiting requests beyond which admission sheds",
+    )
+    parser.add_argument(
+        "--deadline", type=float, default=None,
+        help="per-request deadline in milliseconds",
+    )
+    parser.add_argument(
+        "--cache-capacity", type=int, default=64, dest="cache_capacity",
+        help="result-cache entries per service",
+    )
+    parser.add_argument(
+        "--verify", action="store_true",
+        help="serial-replay every request log; fail on any stale read",
+    )
+    parser.add_argument("--json", action="store_true",
+                        help="emit machine-readable JSON instead of tables")
+    return parser
+
+
+def _serving_options(args: argparse.Namespace) -> dict:
+    """The :func:`repro.api.make_service` keywords of ``serve``/``gateway``."""
+    return {
+        "max_concurrent": args.max_concurrent,
+        "queue_limit": args.queue_limit,
+        "deadline_ms": args.deadline,
+        "cache_capacity": args.cache_capacity,
+    }
+
+
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
@@ -1116,7 +1174,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Drive the serving front end with a closed-loop load and report."""
     from repro import obs
     from repro.api import make_service
-    from repro.runtime import RetryPolicy
     from repro.service import LoadGenerator, LoadSpec
 
     obs.reset_telemetry()
@@ -1125,12 +1182,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.method,
         fields=fs.field_sizes,
         devices=fs.m,
-        max_concurrent=args.max_concurrent,
-        queue_limit=args.queue_limit,
-        deadline_ms=args.deadline,
-        admission_retry=RetryPolicy(max_attempts=args.retries),
-        cache_capacity=None if args.no_cache else args.cache_capacity,
-        coalesce=not args.no_coalesce,
+        **_serving_options(args),
     )
     initial = _seeded_records(fs, args.records, args.seed)
     service.file.insert_all(initial)
@@ -1228,7 +1280,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.api import make_gateway
     from repro.gateway import GatewayLoadSpec, run_loopback_load
-    from repro.runtime import RetryPolicy
 
     obs.reset_telemetry()
     fs = _parse_filesystem(args)
@@ -1252,12 +1303,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_connections=args.max_connections,
-        max_concurrent=args.max_concurrent,
-        queue_limit=args.queue_limit,
-        deadline_ms=args.deadline,
-        admission_retry=RetryPolicy(max_attempts=args.retries),
-        cache_capacity=None if args.no_cache else args.cache_capacity,
-        coalesce=not args.no_coalesce,
+        **_serving_options(args),
     )
     host, port = gateway.start()
     if args.listen:
@@ -1992,78 +2038,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
+        parents=[_serving_parser()],
         help="drive the concurrent serving tier with a closed-loop load",
-    )
-    _add_filesystem_arguments(serve)
-    serve.add_argument(
-        "--method", default="fx", choices=list(method_names()),
-        help="distribution method under the serving tier",
     )
     serve.add_argument("--records", type=int, default=64,
                        help="seeded records loaded before the run")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="seed for records and per-client request logs")
     serve.add_argument("--clients", type=int, default=8,
                        help="closed-loop client threads")
-    serve.add_argument("--requests", type=int, default=50,
-                       help="requests issued by each client")
-    serve.add_argument("--p", type=float, default=0.5,
-                       help="per-field specification probability")
-    serve.add_argument(
-        "--write-every", type=int, default=0, dest="write_every",
-        help="every k-th request of each client is an insert (0 = none)",
-    )
     serve.add_argument(
         "--hot-fraction", type=float, default=0.5, dest="hot_fraction",
         help="fraction of queries drawn from a small shared hot pool",
-    )
-    serve.add_argument(
-        "--max-concurrent", type=int, default=8, dest="max_concurrent",
-        help="requests served at once before queueing",
-    )
-    serve.add_argument(
-        "--queue-limit", type=int, default=32, dest="queue_limit",
-        help="waiting requests beyond which admission sheds",
-    )
-    serve.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-request deadline in milliseconds",
-    )
-    serve.add_argument(
-        "--retries", type=int, default=1,
-        help="admission attempts before giving up (backed-off)",
-    )
-    serve.add_argument(
-        "--cache-capacity", type=int, default=64, dest="cache_capacity",
-        help="result-cache entries (with --no-cache: ignored)",
-    )
-    serve.add_argument("--no-cache", action="store_true", dest="no_cache",
-                       help="serve without the write-aware result cache")
-    serve.add_argument(
-        "--no-coalesce", action="store_true", dest="no_coalesce",
-        help="disable in-flight request coalescing",
-    )
-    serve.add_argument(
-        "--verify", action="store_true",
-        help="serial-replay the request log and fail on any stale read",
     )
     serve.add_argument(
         "--allow-degraded", action="store_true", dest="allow_degraded",
         help="exit 0 even when requests were shed or timed out "
              "(default: degraded runs fail with a structured error)",
     )
-    serve.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON instead of tables")
-    serve.set_defaults(func=_cmd_serve)
+    serve.set_defaults(func=_cmd_serve, requests=50, write_every=0)
 
     gateway = sub.add_parser(
         "gateway",
+        parents=[_serving_parser()],
         help="serve multiple tenants over TCP and drive a loopback load",
-    )
-    _add_filesystem_arguments(gateway)
-    gateway.add_argument(
-        "--method", default="fx", choices=list(method_names()),
-        help="distribution method for every tenant's file",
     )
     gateway.add_argument(
         "--tenants", default="alpha,beta",
@@ -2080,16 +2076,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument(
         "--connections", type=int, default=4,
         help="loopback connections per tenant",
-    )
-    gateway.add_argument("--requests", type=int, default=25,
-                         help="requests issued by each connection")
-    gateway.add_argument("--seed", type=int, default=0,
-                         help="seed for the per-connection op logs")
-    gateway.add_argument("--p", type=float, default=0.5,
-                         help="per-field specification probability")
-    gateway.add_argument(
-        "--write-every", type=int, default=5, dest="write_every",
-        help="every k-th op of a connection is an insert (0 = none)",
     )
     gateway.add_argument(
         "--batch-every", type=int, default=0, dest="batch_every",
@@ -2118,43 +2104,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="total connections accepted before busy-rejecting",
     )
     gateway.add_argument(
-        "--max-concurrent", type=int, default=8, dest="max_concurrent",
-        help="per-tenant requests served at once before queueing",
-    )
-    gateway.add_argument(
-        "--queue-limit", type=int, default=32, dest="queue_limit",
-        help="per-tenant waiting requests beyond which admission sheds",
-    )
-    gateway.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-request deadline in milliseconds",
-    )
-    gateway.add_argument(
-        "--retries", type=int, default=1,
-        help="admission attempts before giving up (backed-off)",
-    )
-    gateway.add_argument(
-        "--cache-capacity", type=int, default=64, dest="cache_capacity",
-        help="per-tenant result-cache entries",
-    )
-    gateway.add_argument("--no-cache", action="store_true", dest="no_cache",
-                         help="serve without the write-aware result cache")
-    gateway.add_argument(
-        "--no-coalesce", action="store_true", dest="no_coalesce",
-        help="disable in-flight request coalescing",
-    )
-    gateway.add_argument(
-        "--verify", action="store_true",
-        help="serial-replay every tenant's log; fail on any stale read",
-    )
-    gateway.add_argument(
         "--export-jsonl", default=None, dest="export_jsonl",
         help="after the load, write the telemetry stream (propagated "
         "traces included) as canonical JSONL to this path",
     )
-    gateway.add_argument("--json", action="store_true",
-                         help="emit machine-readable JSON instead of tables")
-    gateway.set_defaults(func=_cmd_gateway)
+    gateway.set_defaults(func=_cmd_gateway, requests=25, write_every=5)
 
     chaos = sub.add_parser(
         "chaos",

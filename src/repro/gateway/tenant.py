@@ -43,8 +43,8 @@ class TenantSpec:
 
     *fields*/*devices*/*method* describe the tenant's own partitioned
     file; *service* holds extra :func:`repro.api.make_service` keyword
-    options (cache, coalescing, admission retry — the one
-    shared facade keyword surface).
+    options (admission limits, deadline, cache size, checksummed stores —
+    the one shared facade keyword surface).
     """
 
     name: str

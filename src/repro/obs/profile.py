@@ -5,11 +5,18 @@ query-pattern distribution — how often each partial-match pattern (which
 fields are specified) is actually asked, per tenant — so candidate
 transforms can be scored against the real mix rather than the uniform
 assumption the closed-form analysis uses.  This module derives exactly
-that from the telemetry JSONL stream:
+that from the telemetry JSONL stream, counting each query once, where the
+service answered it:
 
-* every ``query.execute`` span contributes its one query,
-* every ``query.batch`` span contributes each entry of its ``per_query``
-  attribute, and
+* every ``service.request`` span contributes its ``query``,
+* every ``service.batch_request`` span contributes each pattern of its
+  space-separated ``patterns`` attribute,
+* a ``query.execute`` span (its ``query``) or ``query.batch`` span (each
+  entry of its ``per_query`` attribute) contributes only when no
+  ``service.*`` span is among its ancestors — the in-process replays,
+  such as ``obs export``, that run no service.  Under a service these
+  spans mark cache misses only, and the service span already counted
+  the query, and
 * each contribution is attributed to a tenant by walking the span's
   parent links (within its trace) up to the nearest ancestor carrying a
   ``tenant`` attribute — the ``gateway.request`` span stamped by the
@@ -28,8 +35,9 @@ conventions.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.envelope import SCHEMA_VERSION, check_version, versioned
 from repro.errors import ReproError
@@ -83,6 +91,31 @@ def span_index(records: Iterable[Mapping]) -> dict[tuple[int, int], Mapping]:
     }
 
 
+def _lineage(
+    record: Mapping, index: Mapping[tuple[int, int], Mapping]
+) -> Iterator[Mapping]:
+    """*record*, then its ancestors nearest first, within its trace.
+
+    A missing parent (evicted from the ring, or remote to the export) or
+    a malformed cycle ends the walk.  The cycle guard keys on
+    ``(trace, id)``, not the span id alone: merged multi-run exports
+    legitimately reuse span ids across traces, and an id-only guard would
+    mistake such a reuse for a cycle and end the walk early.
+    """
+    seen: set[tuple[object, object]] = set()
+    current: Mapping | None = record
+    while current is not None:
+        key = (current.get("trace"), current.get("id"))
+        if key in seen:
+            return
+        seen.add(key)
+        yield current
+        parent = current.get("parent")
+        if parent is None:
+            return
+        current = index.get((current.get("trace"), parent))
+
+
 def resolve_tenant(
     record: Mapping,
     index: Mapping[tuple[int, int], Mapping],
@@ -90,28 +123,53 @@ def resolve_tenant(
 ) -> str:
     """The ``tenant`` attribute of the nearest ancestor span (or *default*).
 
-    The walk stays inside each record's trace; a missing parent (evicted
-    from the ring, or remote to the export) or a malformed cycle ends the
-    walk at *default*.  The cycle guard keys on ``(trace, id)``, not the
-    span id alone: merged multi-run exports legitimately reuse span ids
-    across traces, and an id-only guard would mistake such a reuse for a
-    cycle and terminate the walk before reaching the tenanted ancestor.
+    The walk stays inside each record's trace; a missing parent or a
+    malformed cycle ends it at *default*.
     """
-    seen: set[tuple[object, object]] = set()
-    current: Mapping | None = record
-    while current is not None:
-        tenant = current.get("attrs", {}).get("tenant")
+    for span in _lineage(record, index):
+        tenant = span.get("attrs", {}).get("tenant")
         if tenant is not None:
             return str(tenant)
-        key = (current.get("trace"), current.get("id"))
-        if key in seen:
-            return default
-        seen.add(key)
-        parent = current.get("parent")
-        if parent is None:
-            return default
-        current = index.get((current.get("trace"), parent))
     return default
+
+
+def _under_service(
+    record: Mapping, index: Mapping[tuple[int, int], Mapping]
+) -> bool:
+    """Is a ``service.*`` span among *record*'s ancestors?"""
+    return any(
+        str(span.get("name")).startswith("service.")
+        for span in islice(_lineage(record, index), 1, None)
+    )
+
+
+def _record_patterns(
+    record: Mapping, index: Mapping[tuple[int, int], Mapping]
+) -> list[str]:
+    """The patterns of the queries *record* counts (see the module
+    docstring for which span counts a query)."""
+    name = record.get("name")
+    attrs = record.get("attrs", {})
+    if name == "service.batch_request":
+        patterns = attrs.get("patterns")
+        if not isinstance(patterns, str):
+            return []
+        return [token for token in patterns.split() if not token.strip("1*")]
+    if name == "service.request" or (
+        name == "query.execute" and not _under_service(record, index)
+    ):
+        described = [attrs.get("query")]
+    elif name == "query.batch" and not _under_service(record, index):
+        per_query = attrs.get("per_query")
+        if not isinstance(per_query, list):
+            return []
+        described = [
+            entry.get("query") if isinstance(entry, dict) else None
+            for entry in per_query
+        ]
+    else:
+        return []
+    return [pattern_of(text) for text in described if isinstance(text, str)]
 
 
 @dataclass
@@ -151,7 +209,7 @@ class QueryMixProfile:
     """Per-tenant pattern frequencies aggregated from exported spans."""
 
     tenants: dict[str, TenantProfile] = field(default_factory=dict)
-    #: Number of query spans consumed (execute spans + batch entries).
+    #: Number of queries counted (see the module docstring).
     observed: int = 0
 
     def tenant(self, name: str) -> TenantProfile:
@@ -162,30 +220,19 @@ class QueryMixProfile:
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping]) -> "QueryMixProfile":
-        """Aggregate ``query.execute``/``query.batch`` spans into a profile."""
+        """Aggregate exported spans into a profile, each query counted
+        once where the service answered it."""
         records = [r for r in records if r.get("type") == "span"]
         index = span_index(records)
         profile = cls()
         for record in records:
-            name = record.get("name")
-            if name == "query.execute":
-                described = record.get("attrs", {}).get("query")
-                if not isinstance(described, str):
-                    continue
-                owner = resolve_tenant(record, index)
-                profile.tenant(owner).record(pattern_of(described))
-                profile.observed += 1
-            elif name == "query.batch":
-                per_query = record.get("attrs", {}).get("per_query")
-                if not isinstance(per_query, list):
-                    continue
-                owner = resolve_tenant(record, index)
-                for entry in per_query:
-                    described = entry.get("query") if isinstance(entry, dict) else None
-                    if not isinstance(described, str):
-                        continue
-                    profile.tenant(owner).record(pattern_of(described))
-                    profile.observed += 1
+            patterns = _record_patterns(record, index)
+            if not patterns:
+                continue
+            tenant = profile.tenant(resolve_tenant(record, index))
+            for pattern in patterns:
+                tenant.record(pattern)
+            profile.observed += len(patterns)
         return profile
 
     # ------------------------------------------------------------------

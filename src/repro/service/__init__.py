@@ -13,8 +13,7 @@ with:
   ``submit`` / ``submit_many`` / ``submit_insert`` return the same work as
   already-completed :class:`concurrent.futures.Future` objects,
 * :class:`AdmissionController` (:mod:`repro.service.admission`) — bounded
-  concurrency and queueing with explicit shed/timeout outcomes, reusing
-  :class:`~repro.runtime.RetryPolicy` backoff semantics, and
+  concurrency and queueing with explicit shed/timeout outcomes, and
 * :class:`LoadGenerator` (:mod:`repro.service.loadgen`) — a deterministic
   closed-loop driver whose :class:`LoadReport` measures throughput and
   latency percentiles and *proves* zero stale reads by serial replay.

@@ -5,11 +5,8 @@ runs, waits in a bounded queue, or is turned away with a shed/timeout
 result — never queued without bound.  :class:`AdmissionController` is the
 gate: at most ``max_concurrent`` requests hold a service permit, at most
 ``queue_limit`` more wait for one, and a request that finds the queue full
-retries admission with the capped exponential backoff of a
-:class:`~repro.runtime.RetryPolicy` (the same semantics the fault runtime
-applies to device reads) before giving up.  A per-request deadline bounds
-the whole wait; exceeding it yields a ``timeout`` outcome rather than an
-exception.
+is shed at once.  A per-request deadline bounds the wait; exceeding it
+yields a ``timeout`` outcome rather than an exception.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.runtime.retry import RetryPolicy
 
 __all__ = ["AdmissionController", "AdmissionDecision"]
 
@@ -35,7 +31,6 @@ class AdmissionDecision:
 
     outcome: str  # "admitted" | "shed" | "timeout"
     queue_ms: float = 0.0
-    attempts: int = 1
 
     @property
     def admitted(self) -> bool:
@@ -43,20 +38,15 @@ class AdmissionDecision:
 
 
 class AdmissionController:
-    """A permit gate with a bounded wait queue and retry-with-backoff.
+    """A permit gate with a bounded wait queue.
 
-    ``admit`` blocks (up to the deadline) while the queue has room, retries
-    per *retry* when the queue itself is full, and returns an explicit
+    ``admit`` blocks (up to the deadline) while the queue has room, sheds
+    when the queue itself is full, and returns an explicit
     :class:`AdmissionDecision` either way.  ``release`` returns a permit;
     always pair them (``try/finally``).
     """
 
-    def __init__(
-        self,
-        max_concurrent: int = 8,
-        queue_limit: int = 32,
-        retry: RetryPolicy | None = None,
-    ):
+    def __init__(self, max_concurrent: int = 8, queue_limit: int = 32):
         if max_concurrent < 1:
             raise ConfigurationError(
                 f"max_concurrent must be >= 1, got {max_concurrent}"
@@ -67,7 +57,6 @@ class AdmissionController:
             )
         self.max_concurrent = max_concurrent
         self.queue_limit = queue_limit
-        self.retry = retry or RetryPolicy.none()
         self._condition = threading.Condition()
         self._in_service = 0
         self._queued = 0
@@ -91,27 +80,14 @@ class AdmissionController:
     def admit(self, deadline_ms: float | None = None) -> AdmissionDecision:
         """Try to obtain a service permit.
 
-        Waits in the bounded queue while a permit is busy; when the queue is
-        full, backs off and re-tries per the retry policy.  *deadline_ms*
-        bounds the total wall-clock wait (``None`` = wait indefinitely in
-        the queue, but still shed on a persistently full queue).
+        Waits in the bounded queue while every permit is busy, and sheds at
+        once when the queue is full.  *deadline_ms* bounds the wait
+        (``None`` = wait in the queue indefinitely).
         """
         start = time.perf_counter()
-        outcome = SHED
-        attempts = 0
-        for attempt in range(1, self.retry.max_attempts + 1):
-            attempts = attempt
-            backoff_s = self.retry.delay_before(attempt) / 1000.0
-            if backoff_s:
-                if self._past_deadline(start, deadline_ms, after_s=backoff_s):
-                    outcome = TIMEOUT
-                    break
-                time.sleep(backoff_s)
-            outcome = self._admit_once(start, deadline_ms)
-            if outcome != SHED:
-                break
+        outcome = self._enter(start, deadline_ms)
         queue_ms = (time.perf_counter() - start) * 1000.0
-        return AdmissionDecision(outcome, queue_ms=queue_ms, attempts=attempts)
+        return AdmissionDecision(outcome, queue_ms=queue_ms)
 
     def release(self) -> None:
         """Return a permit and wake the queued waiters.
@@ -127,8 +103,8 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _admit_once(self, start: float, deadline_ms: float | None) -> str:
-        """One pass through the gate: permit, queue, or full."""
+    def _enter(self, start: float, deadline_ms: float | None) -> str:
+        """Take a permit, wait in the queue for one, or find it full."""
         with self._condition:
             if self._in_service < self.max_concurrent:
                 self._in_service += 1
@@ -153,10 +129,3 @@ class AdmissionController:
         if deadline_ms is None:
             return None
         return deadline_ms / 1000.0 - (time.perf_counter() - start)
-
-    @classmethod
-    def _past_deadline(
-        cls, start: float, deadline_ms: float | None, after_s: float = 0.0
-    ) -> bool:
-        remaining = cls._remaining_s(start, deadline_ms)
-        return remaining is not None and remaining <= after_s

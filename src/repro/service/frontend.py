@@ -44,12 +44,11 @@ from repro.envelope import SCHEMA_VERSION
 from repro.errors import ConfigurationError
 from repro.hashing.fields import Bucket
 from repro.obs import telemetry, trace_span
+from repro.obs.profile import pattern_of_query
 from repro.query.algebra import subsumes
 from repro.query.partial_match import PartialMatchQuery
-from repro.runtime.retry import RetryPolicy
 from repro.service.admission import AdmissionController
 from repro.storage.cache import CachedExecutor, CachedLookup
-from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
 
 __all__ = ["ServiceConfig", "ServiceResult", "QueryService"]
@@ -64,19 +63,16 @@ TIMEOUT = "timeout"
 class ServiceConfig:
     """Tuning knobs of one serving front end.
 
-    ``cache_capacity=None`` disables the result cache (every leader fetch
-    hits the devices); ``coalesce=False`` disables flight sharing.  The
-    ``admission_retry`` policy governs how a request behaves against a
-    full queue — its ``max_attempts``/backoff are the shed semantics, the
-    same arithmetic the fault runtime applies to device reads.
+    Every service admits through a bounded queue (a request that finds
+    it full is shed at once), coalesces concurrent compatible reads and
+    answers them through a write-aware result cache of
+    ``cache_capacity`` entries.
     """
 
     max_concurrent: int = 8
     queue_limit: int = 32
     deadline_ms: float | None = None
-    admission_retry: RetryPolicy = field(default_factory=RetryPolicy.none)
-    cache_capacity: int | None = 64
-    coalesce: bool = True
+    cache_capacity: int = 64
 
     def validate(self) -> "ServiceConfig":
         """Fail fast on impossible knob values.
@@ -98,9 +94,10 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"deadline_ms must be positive, got {self.deadline_ms}"
             )
-        if self.cache_capacity is not None and self.cache_capacity < 1:
+        if not isinstance(self.cache_capacity, int) or self.cache_capacity < 1:
             raise ConfigurationError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity}"
+                f"cache_capacity must be an integer >= 1, got "
+                f"{self.cache_capacity!r}"
             )
         return self
 
@@ -123,12 +120,11 @@ class ServiceResult:
     #: Was this request served as part of an explicit batch
     #: (:meth:`QueryService.execute_many`)?
     batched: bool = False
-    #: Cache provenance: "exact" | "subsumption" | "miss" | "" (uncached
-    #: leader fetch or non-ok outcome).
+    #: Cache provenance: "exact" | "subsumption" | "miss" | "" (coalesced
+    #: follower or non-ok outcome).
     cache_hit: str = ""
     queue_ms: float = 0.0
     total_ms: float = 0.0
-    admission_attempts: int = 1
 
     @property
     def ok(self) -> bool:
@@ -152,7 +148,6 @@ class ServiceResult:
             "cache_hit": self.cache_hit,
             "queue_ms": round(self.queue_ms, 6),
             "total_ms": round(self.total_ms, 6),
-            "admission_attempts": self.admission_attempts,
         }
 
 
@@ -204,18 +199,12 @@ class QueryService:
         self.admission = AdmissionController(
             max_concurrent=self.config.max_concurrent,
             queue_limit=self.config.queue_limit,
-            retry=self.config.admission_retry,
         )
-        self.cache = (
-            CachedExecutor(partitioned_file, capacity=self.config.cache_capacity)
-            if self.config.cache_capacity is not None
-            else None
+        self.cache = CachedExecutor(
+            partitioned_file, capacity=self.config.cache_capacity
         )
         self._inflight: dict[PartialMatchQuery, _Flight] = {}
         self._inflight_lock = threading.Lock()
-        #: Uncached single-query reads; batches go through ``_engine``.
-        self._reader = QueryExecutor(partitioned_file)
-        self._engine = None
         #: Set by :meth:`shutdown`; the ``submit*`` methods then refuse work.
         self._retired = False
         #: Optional :class:`~repro.durability.wal.WriteAheadLog` writes are
@@ -287,7 +276,6 @@ class QueryService:
                 submit_version=submit_version,
                 queue_ms=decision.queue_ms,
                 total_ms=(time.perf_counter() - start) * 1000.0,
-                admission_attempts=decision.attempts,
             )
             self._observe(metrics, result)
             return result
@@ -298,7 +286,6 @@ class QueryService:
                 result = self._serve(query, start, deadline_ms)
                 result.submit_version = submit_version
                 result.queue_ms = decision.queue_ms
-                result.admission_attempts = decision.attempts
                 span.set_attr("status", result.status)
                 span.set_attr("coalesced", result.coalesced)
                 if result.cache_hit:
@@ -378,20 +365,10 @@ class QueryService:
     def _serve(
         self, query: PartialMatchQuery, start: float, deadline_ms: float | None
     ) -> ServiceResult:
-        if not self.config.coalesce:
-            lookup = self._fetch(query)
-            telemetry().metrics.add("service.leader_fetches")
-            return ServiceResult(
-                status=OK,
-                query=query,
-                records=lookup.collect(),
-                write_version=lookup.version,
-                cache_hit=lookup.hit,
-            )
         flight, leader = self._join_or_lead(query)
         if leader:
             try:
-                lookup = self._fetch(query)
+                lookup = self.cache.lookup(query)
             except BaseException as error:
                 self._retire(flight)
                 flight.fail(error)
@@ -456,7 +433,6 @@ class QueryService:
                     submit_version=submit_version,
                     queue_ms=decision.queue_ms,
                     total_ms=total,
-                    admission_attempts=decision.attempts,
                     batched=True,
                 )
                 for query in queries
@@ -466,9 +442,11 @@ class QueryService:
             return results
         try:
             with trace_span(
-                "service.batch_request", queries=len(queries)
+                "service.batch_request",
+                queries=len(queries),
+                patterns=" ".join(map(pattern_of_query, queries)),
             ) as span:
-                resolved = self._execute_batch_queries(queries)
+                resolved = self.cache.lookup_batch(queries)
                 span.set_attr("status", OK)
         finally:
             self.admission.release()
@@ -486,35 +464,12 @@ class QueryService:
                 submit_version=submit_version,
                 queue_ms=decision.queue_ms,
                 total_ms=total,
-                admission_attempts=decision.attempts,
                 batched=True,
                 cache_hit=lookup.hit,
             )
             self._observe(metrics, result)
             results.append(result)
         return results
-
-    def _execute_batch_queries(
-        self, queries: list[PartialMatchQuery]
-    ) -> list[CachedLookup]:
-        """Resolve a batch to one lookup per query.
-
-        With a result cache the batch goes through
-        :meth:`~repro.storage.cache.CachedExecutor.lookup_batch` (hits
-        resolve from memory, all misses share one engine fetch); without
-        one it goes straight to the batch engine.
-        """
-        if self.cache is not None:
-            return self.cache.lookup_batch(queries)
-        if self._engine is None:
-            from repro.engine.batch import BatchEngine
-
-            self._engine = BatchEngine(self.file)
-        per_query, version = self._engine.fetch_buckets(queries)
-        return [
-            CachedLookup(query, buckets, version, "")
-            for query, buckets in zip(queries, per_query)
-        ]
 
     def _join_or_lead(self, query: PartialMatchQuery) -> tuple[_Flight, bool]:
         """Join a compatible in-flight request, or become the leader.
@@ -554,13 +509,6 @@ class QueryService:
         if span is not None:
             span.set_attr("leader_trace", context.trace_id)
             span.set_attr("leader_span", context.span_id)
-
-    def _fetch(self, query: PartialMatchQuery) -> CachedLookup:
-        """Bucket-grouped records for *query* plus their write version."""
-        if self.cache is not None:
-            return self.cache.lookup(query)
-        buckets, version = self._reader.fetch_buckets(query)
-        return CachedLookup(query, buckets, version, "")
 
     @staticmethod
     def _observe(metrics, result: ServiceResult) -> None:

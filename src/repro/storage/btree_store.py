@@ -9,7 +9,7 @@ supports ordered traversal and contiguous bucket-range scans — the ordered
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.hashing.fields import Bucket
 from repro.storage.btree import BTree
@@ -39,6 +39,15 @@ class BTreeBucketStore:
 
     def clear(self) -> None:
         self._tree = BTree(t=self._tree.t)
+
+    def replace_bucket(self, bucket: Bucket, records: Iterable[object]) -> None:
+        """Set the exact contents of *bucket* (the repair/rebuild path);
+        empty *records* removes the key."""
+        key = tuple(bucket)
+        for record in self._tree.get(key):
+            self._tree.delete(key, record)
+        for record in records:
+            self._tree.insert(key, record)
 
     def records_in(self, bucket: Bucket) -> tuple[object, ...]:
         return self._tree.get(tuple(bucket))

@@ -20,9 +20,10 @@ exactly the entries whose cached query could match the written record's
 bucket (checked through the query algebra:
 ``subsumes(cached_query, exact-match(bucket))``).  Entries whose cached
 query cannot match the bucket are untouched — a write to one region of the
-grid does not evict results for disjoint regions.  :meth:`invalidate`
-remains as the manual escape hatch for out-of-band mutations that bypass
-the file interface (e.g. direct store surgery in tests).
+grid does not evict results for disjoint regions.  Entries are keyed by
+bucket, not by device, so a :class:`~repro.storage.migration.Migration`
+(which moves records between devices without changing any bucket's
+contents or the write version) leaves every entry exact.
 
 The cache is also **thread-safe**: every probe, fill, eviction and
 invalidation happens under one internal lock (the same discipline as
@@ -81,7 +82,7 @@ class CacheStats:
     subsumption_hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Entries dropped by write notifications (not manual ``invalidate``).
+    #: Entries dropped by write notifications.
     write_invalidations: int = 0
 
     @property
@@ -119,9 +120,7 @@ class CachedLookup:
     ``buckets`` holds the *entry*'s buckets (possibly broader than the
     query on a subsumption hit) — :meth:`collect` assembles a query's
     records from them.  ``version`` is the file write version the records
-    reflect; ``hit`` is ``"exact"``, ``"subsumption"`` or ``"miss"``, and
-    ``""`` for a read that had no cache to consult (an uncached
-    :class:`~repro.service.frontend.QueryService`).
+    reflect; ``hit`` is ``"exact"``, ``"subsumption"`` or ``"miss"``.
     """
 
     query: PartialMatchQuery
@@ -133,9 +132,8 @@ class CachedLookup:
         """Records of *query* (default: the looked-up query) from the
         cached buckets.
 
-        When the buckets are exactly *query*'s (an exact hit, a miss, an
-        uncached read, or a coalesced follower asking the leader's own
-        query) they concatenate in entry order, the serial oracle's.  When
+        When the buckets are exactly *query*'s (an exact hit, a miss, or
+        a coalesced follower asking the leader's own query) they concatenate in entry order, the serial oracle's.  When
         a broader entry answers (a subsumption hit, or a narrower
         follower) each qualified bucket of *query* is looked up in it, so
         the records come in ``R(q)``'s row-major order and the read costs
@@ -199,10 +197,7 @@ class CachedExecutor:
         self._fetching = 0
         self._pending_notes: list[tuple[int, Bucket]] = []
         # Write-awareness: drop affected entries on every file mutation.
-        # Files without a notifier (duck-typed stand-ins) fall back to the
-        # manual invalidate() contract.
-        subscribe = getattr(partitioned_file, "subscribe", None)
-        self._unsubscribe = subscribe(self._on_write) if subscribe else None
+        self._unsubscribe = partitioned_file.subscribe(self._on_write)
 
     # ------------------------------------------------------------------
     # Execution
@@ -381,17 +376,6 @@ class CachedExecutor:
             self.stats.write_invalidations += len(affected)
             if self._fetching:
                 self._pending_notes.append((version, bucket))
-
-    def invalidate(self) -> None:
-        """Drop every entry.
-
-        Kept as the manual escape hatch for mutations that bypass the file
-        interface (writes through ``insert``/``delete`` invalidate
-        automatically).  The batch engine needs no such hatch: it rebuilds
-        a device's present set whenever the device's epoch has moved.
-        """
-        with self._lock:
-            self._entries.clear()
 
     def close(self) -> None:
         """Detach from the file's write notifications (long-lived files

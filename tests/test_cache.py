@@ -245,17 +245,6 @@ class TestLifecycle:
         cached.execute(q1)
         assert cached.stats.misses == 4
 
-    def test_invalidate_forces_refetch(self):
-        pf = _loaded()
-        cached = CachedExecutor(pf)
-        query = pf.query({0: 3})
-        cached.execute(query)
-        pf.insert((99, "fresh"))
-        cached.invalidate()
-        got = cached.execute(query)
-        assert cached.stats.misses == 2
-        assert sorted(map(str, got)) == _ground_truth(pf, query)
-
     def test_hit_rate(self):
         pf = _loaded()
         cached = CachedExecutor(pf)

@@ -14,6 +14,7 @@ from repro.core.fx import FXDistribution
 from repro.distribution.modulo import ModuloDistribution
 from repro.distribution.replicated import ChainedReplicaScheme
 from repro.durability.checksummed_store import ChecksummedBucketStore
+from repro.durability.rebuild import DeviceRebuilder
 from repro.engine import BatchEngine
 from repro.engine.plan import ArrayBatchPlanner
 from repro.hashing.fields import FileSystem
@@ -63,16 +64,29 @@ class _Race:
 
 class TestMigrationWithCache:
     def test_cache_invalidation_after_migration_keeps_results_correct(self):
-        pf = PartitionedFile(ModuloDistribution(FS))
-        pf.insert_all(RECORDS)
-        cached = CachedExecutor(pf, capacity=8)
-        query = pf.query({0: 13})
-        before = sorted(map(str, cached.execute(query)))
-        Migration(pf, FXDistribution(FS)).apply()
-        cached.invalidate()
-        after = sorted(map(str, cached.execute(query)))
-        assert before == after
-        pf.check_invariants()
+        """A cache warmed before ``Migration.apply`` needs no invalidation:
+        entries are keyed by bucket, and a migration moves records between
+        devices without changing a bucket or the write version."""
+        for factory in (None, ChecksummedBucketStore):
+            pf = PartitionedFile(ModuloDistribution(FS), store_factory=factory)
+            pf.insert_all(RECORDS)
+            cached = CachedExecutor(pf, capacity=8)
+            broad = pf.query({0: 13})
+            cached.execute(broad)
+            version = pf.write_version
+            Migration(pf, FXDistribution(FS)).apply()
+            assert pf.write_version == version
+            queries = [broad] + [
+                pf.query({0: 13, 1: f"name-{v}"}) for v in range(11)
+            ]
+            oracle = QueryExecutor(pf)
+            hits = []
+            for query in queries:
+                lookup = cached.lookup(query)
+                hits.append(lookup.hit)
+                assert lookup.collect() == oracle.execute(query).records
+            assert hits == ["exact"] + ["subsumption"] * 11
+            pf.check_invariants()
 
     def test_batch_execution_after_migration(self):
         for factory in (None, ChecksummedBucketStore):
@@ -183,16 +197,19 @@ class TestMigrationWithCache:
         assert pf.method.name == "fx"
 
 
+local_stores = pytest.mark.parametrize(
+    "factory",
+    [
+        None,
+        lambda: BTreeBucketStore(t=3),
+        lambda: PagedBucketStore(page_capacity=3),
+    ],
+    ids=["hash-dir", "btree", "paged"],
+)
+
+
 class TestStoresUnderLoad:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            None,
-            lambda: BTreeBucketStore(t=3),
-            lambda: PagedBucketStore(page_capacity=3),
-        ],
-        ids=["hash-dir", "btree", "paged"],
-    )
+    @local_stores
     def test_all_local_stores_serve_identical_results(self, factory):
         pf = PartitionedFile(FXDistribution(FS), store_factory=factory)
         pf.insert_all(RECORDS)
@@ -204,6 +221,20 @@ class TestStoresUnderLoad:
             map(str, expected.records)
         )
         pf.check_invariants()
+
+    @local_stores
+    def test_all_local_stores_rebuild_a_lost_device(self, factory):
+        rf = ReplicatedFile(
+            ChainedReplicaScheme(FXDistribution(FS)), store_factory=factory
+        )
+        rf.insert_all(RECORDS)
+        before = rf.state_digest()
+        rf.lose_device(2)
+        assert rf.state_digest() != before
+        report = DeviceRebuilder(rf).rebuild(2)
+        assert report.records_restored > 0
+        assert rf.state_digest() == before
+        rf.check_invariants()
 
     def test_stats_snapshot_reflects_paged_store(self):
         pf = PartitionedFile(

@@ -418,13 +418,13 @@ class TestTenantGate:
         tenant = gateway.tenants["alpha"]
         service = tenant.service
         gate = threading.Event()
-        fetch = type(service)._fetch
+        lookup = service.cache.lookup
 
-        def slow_fetch(self, query):
+        def slow_lookup(query):
             gate.wait(timeout=10)
-            return fetch(self, query)
+            return lookup(query)
 
-        service._fetch = slow_fetch.__get__(service)
+        service.cache.lookup = slow_lookup
         first = GatewayClient(*address, tenant="alpha",
                               fields=FIELDS, devices=DEVICES)
         error_codes: list[str] = []
@@ -464,15 +464,15 @@ class TestTenantGate:
 # ======================================================================
 class TestLifecycle:
     def _gate_fetch(self, service):
-        """Block the service's bucket fetch until the event is set."""
+        """Block the service's cache lookup until the event is set."""
         gate = threading.Event()
-        fetch = type(service)._fetch
+        lookup = service.cache.lookup
 
-        def slow_fetch(self, query):
+        def slow_lookup(query):
             gate.wait(timeout=10)
-            return fetch(self, query)
+            return lookup(query)
 
-        service._fetch = slow_fetch.__get__(service)
+        service.cache.lookup = slow_lookup
         return gate
 
     def test_busy_reject_beyond_max_connections(self, gateway_factory):
@@ -785,11 +785,11 @@ class TestMakeGateway:
     def test_service_options_flow_to_tenant_services(self):
         gateway = make_gateway(
             ["a"], fields=FIELDS, devices=DEVICES, max_concurrent=3,
-            coalesce=False,
+            cache_capacity=16,
         )
         service = gateway.tenants["a"].service
         assert service.config.max_concurrent == 3
-        assert service.config.coalesce is False
+        assert service.cache.capacity == 16
 
     def test_rejects_unknown_service_options(self):
         with pytest.raises(ConfigurationError):
@@ -821,12 +821,13 @@ class TestMakeGateway:
                 fields=FIELDS,
                 devices=DEVICES,
             )
-        gateway = make_gateway(
-            {"a": {"service": {"cache_capacity": None}}},
-            fields=FIELDS,
-            devices=DEVICES,
-        )
-        assert gateway.tenants["a"].service.cache is None
+        # None is not a capacity: every service has a cache.
+        with pytest.raises(ConfigurationError, match="'a'.*cache_capacity"):
+            make_gateway(
+                {"a": {"service": {"cache_capacity": None}}},
+                fields=FIELDS,
+                devices=DEVICES,
+            )
 
     def test_requires_fields_and_devices(self):
         with pytest.raises(ConfigurationError):
@@ -930,6 +931,32 @@ class TestCli:
         assert rc == 0
         data = json.loads(captured.out)
         assert data["shed"] == 0 and data["timeout"] == 0
+
+    def test_serve_and_gateway_keep_their_own_defaults(self):
+        """The two commands share one set of serving options but differ in
+        two defaults; neither command's default may leak into the other."""
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        size = ["--fields", "4,4", "--devices", "4"]
+        serve = parser.parse_args(["serve", *size])
+        gateway = parser.parse_args(["gateway", *size])
+        assert (serve.requests, serve.write_every) == (50, 0)
+        assert (gateway.requests, gateway.write_every) == (25, 5)
+        for args in (serve, gateway):
+            assert (args.method, args.seed, args.p) == ("fx", 0, 0.5)
+            assert (args.max_concurrent, args.queue_limit) == (8, 32)
+            assert (args.deadline, args.cache_capacity) == (None, 64)
+
+    @pytest.mark.parametrize(
+        "flag", [["--no-cache"], ["--no-coalesce"], ["--retries", "2"]]
+    )
+    def test_removed_serving_flags_are_rejected(self, flag, capsys):
+        for command in ("serve", "gateway"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--fields", "4,4", "--devices", "4", *flag])
+            assert exit_info.value.code == 2
+            assert flag[0] in capsys.readouterr().err
 
     def test_gateway_cli_loopback_verifies(self, capsys):
         rc = main(

@@ -478,6 +478,13 @@ class TestSloMonitor:
 # Query-mix profiler
 # ======================================================================
 def _synthetic_records() -> list[dict]:
+    """Span records shaped as a served gateway run exports them.
+
+    Trace 10 is a single query whose cache miss opened a
+    ``query.execute``; trace 12 is a two-query batch whose misses opened
+    a ``query.batch``; trace 11 is an in-process ``query.execute`` with
+    no service above it.
+    """
     return [
         {
             "type": "span", "id": 1, "trace": 10, "parent": None,
@@ -485,7 +492,7 @@ def _synthetic_records() -> list[dict]:
         },
         {
             "type": "span", "id": 2, "trace": 10, "parent": 1,
-            "name": "service.request", "attrs": {}, "remote": True,
+            "name": "service.request", "attrs": {"query": "<1, *>"},
         },
         {
             "type": "span", "id": 3, "trace": 10, "parent": 2,
@@ -496,7 +503,7 @@ def _synthetic_records() -> list[dict]:
             },
         },
         {
-            "type": "span", "id": 4, "trace": 10, "parent": 2,
+            "type": "span", "id": 4, "trace": 12, "parent": 7,
             "name": "query.batch",
             "attrs": {
                 "per_query": [
@@ -518,6 +525,15 @@ def _synthetic_records() -> list[dict]:
                 "query": "<*, *>", "qualified": 16,
                 "buckets_per_device": [4, 4, 4, 4],
             },
+        },
+        {
+            "type": "span", "id": 6, "trace": 12, "parent": None,
+            "name": "gateway.request", "attrs": {"tenant": "acme"},
+        },
+        {
+            "type": "span", "id": 7, "trace": 12, "parent": 6,
+            "name": "service.batch_request",
+            "attrs": {"queries": 2, "patterns": "*1 11"},
         },
     ]
 
@@ -567,6 +583,8 @@ class TestQueryMixProfiler:
         assert resolve_tenant(start, index) == "acme"
 
     def test_from_records_attributes_per_tenant(self):
+        # Each query counts once, at its service span; the executor spans
+        # below a service are not counted again.
         profile = QueryMixProfile.from_records(_synthetic_records())
         assert profile.observed == 4
         acme = profile.tenant("acme")
@@ -840,12 +858,9 @@ class TestProfilerExactness:
 
     def _profile_json(self, gateway_factory, spec: GatewayLoadSpec) -> str:
         obs.configure(clock=ManualClock(step=0.001), reset=True)
-        gateway, address = gateway_factory(
-            # No cache and no coalescing: every wire query must reach the
-            # executor, so the profile observes the generator stream 1:1.
-            {"gamma": {"service": {"cache_capacity": None,
-                                   "coalesce": False}}}
-        )
+        # Default serving options: cache hits and coalesced followers
+        # must be counted as well as the reads that reach the executor.
+        gateway, address = gateway_factory(["gamma"])
         report = run_loopback_load(
             address, list(gateway.tenants.values()), spec
         )
@@ -876,6 +891,30 @@ class TestProfilerExactness:
         # Byte-identical across two full wire runs.
         assert self._profile_json(gateway_factory, spec) == text
 
+    def test_batch_of_cache_hits_is_fully_counted(self):
+        from repro.api import make_service
+
+        service = make_service("fx", fields=FIELDS, devices=DEVICES)
+        for i in range(4):
+            service.insert((i, i))
+        queries = [
+            service.file.query({0: 1}),
+            service.file.query({1: 2}),
+            service.file.query({0: 1, 1: 1}),
+        ]
+        service.execute_many(queries)  # misses: one engine batch
+        repeat = service.execute_many(queries)
+        assert [result.cache_hit for result in repeat] == ["exact"] * 3
+        records = telemetry().export_records()
+        # The all-hit batch never reached the engine ...
+        assert len([
+            r for r in _span_records(records) if r["name"] == "query.batch"
+        ]) == 1
+        # ... yet every query of both batches is counted, once.
+        profile = QueryMixProfile.from_records(records)
+        assert profile.observed == 6
+        assert profile.tenant("").patterns == {"1*": 2, "*1": 2, "11": 2}
+
 
 # ======================================================================
 # Coalesced followers link to their leader's span
@@ -884,21 +923,19 @@ class TestCoalescedFollowerLinks:
     def test_follower_span_links_leader(self):
         from repro.api import make_service
 
-        service = make_service(
-            "fx", fields=FIELDS, devices=DEVICES, cache_capacity=None
-        )
+        service = make_service("fx", fields=FIELDS, devices=DEVICES)
         for i in range(4):
             service.insert((i, i))
         query = service.file.query({0: 1})
 
         release = threading.Event()
-        original = service._fetch
+        original = service.cache.lookup
 
-        def slow_fetch(q):
+        def slow_lookup(q):
             release.wait(timeout=5.0)
             return original(q)
 
-        service._fetch = slow_fetch
+        service.cache.lookup = slow_lookup
         results = [None] * 3
 
         def serve(slot):
@@ -921,7 +958,7 @@ class TestCoalescedFollowerLinks:
                 thread.join(timeout=5.0)
         finally:
             release.set()
-            service._fetch = original
+            service.cache.lookup = original
         assert not any(thread.is_alive() for thread in threads)
         assert sum(1 for r in results if r.coalesced) >= 1
         spans = _span_records()

@@ -18,7 +18,6 @@ from repro.durability.checksummed_store import ChecksummedBucketStore
 from repro.errors import ConfigurationError
 from repro.hashing.fields import FileSystem
 from repro.query.partial_match import PartialMatchQuery
-from repro.runtime import RetryPolicy
 from repro.service import (
     AdmissionController,
     LoadGenerator,
@@ -104,18 +103,6 @@ class TestAdmission:
         assert waited_ms >= 15.0
         controller.release()
 
-    def test_retry_policy_governs_shed_attempts(self):
-        controller = AdmissionController(
-            max_concurrent=1,
-            queue_limit=0,
-            retry=RetryPolicy(max_attempts=3, base_delay_ms=1.0),
-        )
-        assert controller.admit(None).admitted
-        decision = controller.admit(None)
-        assert decision.outcome == SHED
-        assert decision.attempts == 3
-        controller.release()
-
     def test_queued_request_admitted_on_release(self):
         controller = AdmissionController(max_concurrent=1, queue_limit=4)
         assert controller.admit(None).admitted
@@ -174,9 +161,7 @@ class TestAdmission:
 class TestCoalescing:
     def test_followers_share_one_device_round_trip(self):
         obs.reset_telemetry()
-        service = _service(
-            store_factory=SlowStore, cache_capacity=None, max_concurrent=16
-        )
+        service = _service(store_factory=SlowStore, max_concurrent=16)
         query = PartialMatchQuery.full_scan(FS)
         n_threads = 8
         barrier = threading.Barrier(n_threads)
@@ -200,7 +185,9 @@ class TestCoalescing:
             assert sorted(result.records) == expected
         counters = obs.telemetry().metrics.snapshot().counters
         # the acceptance criterion: coalescing measurably reduces
-        # device round-trips — strictly fewer leader fetches than requests
+        # device round-trips — strictly fewer leader fetches than requests.
+        # A request arriving after the flight retired leads again and hits
+        # the cache, so leaders and followers still account for everyone.
         assert counters["service.requests"] == n_threads
         assert counters["service.leader_fetches"] < n_threads
         assert counters.get("service.coalesced", 0) >= 1
@@ -209,36 +196,28 @@ class TestCoalescing:
         ] == n_threads
 
     def test_coalesced_and_uncoalesced_return_identical_records(self):
-        reference = None
-        for coalesce in (True, False):
-            service = _service(
-                store_factory=SlowStore,
-                cache_capacity=None,
-                coalesce=coalesce,
-                max_concurrent=16,
-            )
-            query = service.file.query({0: 3})
-            barrier = threading.Barrier(6)
-            collected = [None] * 6
+        """Leaders, followers and cache hits all return the serial
+        oracle's records, in its order."""
+        service = _service(store_factory=SlowStore, max_concurrent=16)
+        query = service.file.query({0: 3})
+        oracle = QueryExecutor(service.file).execute(query).records
+        barrier = threading.Barrier(6)
+        collected = [None] * 6
 
-            def client(i, service=service, query=query, barrier=barrier,
-                       collected=collected):
-                barrier.wait()
-                collected[i] = sorted(service.execute(query).records)
+        def client(i):
+            barrier.wait()
+            collected[i] = service.execute(query)
 
-            threads = [
-                threading.Thread(target=client, args=(i,)) for i in range(6)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert all(r is not None for r in collected)
-            assert len({tuple(map(tuple, r)) for r in collected}) == 1
-            if reference is None:
-                reference = collected[0]
-            else:
-                assert collected[0] == reference
+        threads = [
+            threading.Thread(target=client, args=(i,)) for i in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        for result in collected:
+            assert result.records == oracle
 
     def test_subsumed_query_joins_broad_flight(self):
         store_holder = []
@@ -248,7 +227,7 @@ class TestCoalescing:
             store_holder.append(store)
             return store
 
-        service = _service(store_factory=store_factory, cache_capacity=None)
+        service = _service(store_factory=store_factory)
         broad = PartialMatchQuery.full_scan(FS)
         narrow = service.file.query({0: 3})
         results = {}
@@ -280,7 +259,7 @@ class TestCoalescing:
         )
 
     def test_stale_flight_is_not_joined_after_write(self):
-        service = _service(cache_capacity=None)
+        service = _service()
         query = service.file.query({0: 3})
         flight, leader = service._join_or_lead(query)
         assert leader
@@ -316,14 +295,11 @@ class TestCoalescing:
 
 
 class TestSingleQueryFetch:
-    @pytest.mark.parametrize("cache_capacity", [64, None])
     @pytest.mark.parametrize(
         "store_factory", [BucketStore, ChecksummedBucketStore]
     )
-    def test_miss_reads_each_bucket_once(
-        self, monkeypatch, store_factory, cache_capacity
-    ):
-        service = _service(store_factory, cache_capacity=cache_capacity)
+    def test_miss_reads_each_bucket_once(self, monkeypatch, store_factory):
+        service = _service(store_factory)
         pf = service.file
         query = pf.query({0: 3})
         reads = []
@@ -336,7 +312,7 @@ class TestSingleQueryFetch:
         monkeypatch.setattr(BucketStore, "records_in", counting)
         before = sum(device.stats.bucket_reads for device in pf.devices)
         result = service.execute(query)
-        assert result.cache_hit == ("miss" if cache_capacity else "")
+        assert result.cache_hit == "miss"
         assert len(reads) == query.qualified_count
         after = sum(device.stats.bucket_reads for device in pf.devices)
         assert after - before == query.qualified_count
@@ -347,18 +323,8 @@ class TestSingleQueryFetch:
 # The soak: the PR's acceptance criterion
 # ----------------------------------------------------------------------
 class TestSoak:
-    @pytest.mark.parametrize(
-        "cache_capacity,coalesce",
-        [(64, True), (None, True), (64, False), (None, False)],
-    )
-    def test_interleaved_soak_zero_stale_reads(self, cache_capacity, coalesce):
-        service = _service(
-            records=0,
-            cache_capacity=cache_capacity,
-            coalesce=coalesce,
-            max_concurrent=8,
-            queue_limit=64,
-        )
+    def test_interleaved_soak_zero_stale_reads(self):
+        service = _service(records=0, max_concurrent=8, queue_limit=64)
         initial = [(i, i % 5) for i in range(32)]
         service.file.insert_all(initial)
         spec = LoadSpec(
