@@ -1,9 +1,9 @@
 """Workload-adaptive declustering: close the loop from observation to action.
 
-ROADMAP item 3 end to end.  The obs layer measures *what is actually
-asked* (:class:`~repro.obs.QueryMixProfile`); this package turns that
-measurement into a better transform assignment and applies it without
-losing data:
+Workload-adaptive declustering (DESIGN §4l) end to end.  The obs layer
+measures *what is actually asked* (:class:`~repro.obs.QueryMixProfile`);
+this package turns that measurement into a better transform assignment
+and applies it without losing data:
 
 ``bridge``
     Convert between the obs layer's indicator patterns (``"1*1"``) and

@@ -1,10 +1,11 @@
 """Crash-safe application of an adaptive plan to a live durable file.
 
-The last mile of ROADMAP item 3: once :func:`~repro.adaptive.score.
-adaptive_transform_search` has found a better transform assignment for
-the observed mix, actually moving a deployment onto it must not be the
-step that loses data.  :func:`apply_plan` therefore routes the swap
-through the existing durability machinery rather than around it:
+The last mile of workload-adaptive declustering (DESIGN §4l): once
+:func:`~repro.adaptive.score.adaptive_transform_search` has found a
+better transform assignment for the observed mix, actually moving a
+deployment onto it must not be the step that loses data.
+:func:`apply_plan` therefore routes the swap through the existing
+durability machinery rather than around it:
 
 * the bucket moves run as a :class:`~repro.storage.migration.Migration`
   wired to the file's own write-ahead log, so every relocated record is

@@ -2,8 +2,9 @@
 
 The paper proves FX optimality under the *uniform* query model; a live
 array sees whatever mix its tenants actually send.  This module closes
-the gap (ROADMAP item 3): score any candidate FX transform assignment by
-its **mix-weighted expected load factor** — the expectation, under an
+the gap (workload-adaptive declustering, DESIGN §4l): score any
+candidate FX transform assignment by its **mix-weighted expected load
+factor** — the expectation, under an
 :class:`~repro.adaptive.EmpiricalQueryModel`, of ``largest response /
 ceil(|R(q)|/M)`` — and search the assignment space for the minimiser.
 

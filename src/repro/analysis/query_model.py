@@ -3,8 +3,8 @@
 The paper's evaluation assumes one query model — every field independently
 specified with probability ``p`` — and every closed-form expectation in
 :mod:`repro.analysis.skew` was historically hard-wired to it.  Closing the
-adaptive-declustering loop (ROADMAP item 3) needs a second model: the
-*observed* pattern distribution a :class:`~repro.obs.QueryMixProfile`
+workload-adaptive declustering loop (DESIGN §4l) needs a second model:
+the *observed* pattern distribution a :class:`~repro.obs.QueryMixProfile`
 records.  This module defines the small interface both share:
 
 * :class:`QueryModel` — ``pattern_weight`` (probability of one unspecified

@@ -270,7 +270,7 @@ def make_service(
     from repro.service import QueryService, ServiceConfig
     from repro.storage.parallel_file import PartitionedFile
 
-    method = make_method(name, fields=fields, devices=devices, **opts)
+    method = _served_method(name, fields, devices, **opts)
     store_factory = None
     if checksummed:
         from repro.durability import ChecksummedBucketStore
@@ -288,6 +288,22 @@ def make_service(
         ),
         config,
     )
+
+
+def _served_method(
+    name: str, fields: Sequence[int], devices: int, **opts: object
+) -> DistributionMethod:
+    """:func:`make_method` for a served file, which places each record on
+    one device: a name that builds no :class:`DistributionMethod` (such as
+    ``"replicated"``) is a :class:`~repro.errors.ConfigurationError`."""
+    method = make_method(name, fields=fields, devices=devices, **opts)
+    if not isinstance(method, DistributionMethod):
+        raise ConfigurationError(
+            f"method {name!r} builds a {type(method).__name__}, not a "
+            f"distribution method a service can serve; use one of "
+            f"{list(available_methods())}"
+        )
+    return method
 
 
 #: The ``make_service`` keyword names ``make_gateway`` forwards as
@@ -385,8 +401,8 @@ def make_gateway(
                 )
 
     # Tenant services are built lazily on first touch, so check every
-    # tenant's merged serving knobs now — a bad default should fail the
-    # build, not bounce every later request as a wire error.
+    # tenant's method and merged serving knobs now — a bad one should fail
+    # the build, not bounce every later request as a wire error.
     from repro.service import ServiceConfig
 
     config_fields = {f.name for f in dataclasses.fields(ServiceConfig)}
@@ -398,8 +414,16 @@ def make_gateway(
             for key, value in merged.items()
             if key in config_fields
         }
+        method_opts = {
+            key: value
+            for key, value in merged.items()
+            if key not in SERVICE_OPTION_NAMES
+        }
         try:
             ServiceConfig(**knobs).validate()
+            _served_method(
+                spec.method, spec.fields, spec.devices, **method_opts
+            )
         except ConfigurationError as error:
             raise ConfigurationError(
                 f"tenant {spec.name!r}: {error}"

@@ -11,14 +11,16 @@ Commands
 ``search``   transform-assignment search (paper families or GF(2) linear),
 ``design``   optimal directory bit allocation from query statistics,
 ``simulate`` concurrent-workload latency comparison of the methods,
+``verify``   cross-check the exact engines on a configuration,
 ``recommend`` rank methods for a file system and workload,
 ``faults``   fault-tolerant runtime: stream simulation under a fault plan
              (``run``) or availability curves plus runtime counters
              (``report``),
 ``obs``      telemetry: replay a workload and render the metrics/latency
              report (``report``), export the structured run as JSONL
-             (``export``), print the last spans (``tail``), or verify
-             strict optimality from telemetry alone (``check``),
+             (``export``), print the last spans (``tail``), verify
+             strict optimality from telemetry alone (``check``), or serve
+             a loopback load and report per-tenant SLOs (``slo``),
 ``recover``  durability: scrub-and-repair a corrupted replicated file
              (``scrub``), crash/recovery byte-identity at WAL record
              boundaries (``replay``), rebuild a lost device from replicas
@@ -29,6 +31,9 @@ Commands
              coalescing, result-cached front end; report throughput,
              latency percentiles and the ``service.*`` counters, and
              (``--verify``) prove zero stale reads by serial replay,
+``gateway``  the same over TCP for several tenants,
+``chaos``    wire faults plus a crash-restart against the gateway, with
+             the resilience invariants checked,
 ``adapt``    workload-adaptive declustering: score the deployed transform
              assignment against an observed query mix (``score``), search
              for a better one and report the gap to the lower bound
@@ -36,10 +41,10 @@ Commands
              WAL-audited migration path and re-verify optimality from
              telemetry (``apply``).
 
-File systems are given as ``--fields 8,8,16 --devices 32``.  The sweeping
-commands (``census``, ``search``) accept ``--parallel N`` to fan the
-per-pattern / per-assignment work over N threads (0 = one per CPU) with
-results identical to serial runs.
+File systems are given as ``--fields 8,8,16 --devices 32``.  Each command,
+and each action of ``faults``, ``obs``, ``recover`` and ``adapt``, accepts
+only the options its handler reads (``python -m repro obs tail --help``);
+an option several of them share is declared once, in :func:`_add_options`.
 """
 
 from __future__ import annotations
@@ -51,11 +56,11 @@ import time
 from collections.abc import Sequence
 
 from repro.analysis.ascii_chart import render_series
-from repro.api import default_gdm_multipliers, make_method, method_names
+from repro.api import make_method
 from repro.core.fx import FXDistribution
 from repro.core.linear import random_matrix_search
 from repro.core.optimality import optimality_report
-from repro.distribution.base import available_methods, create_method
+from repro.distribution.base import available_methods
 from repro.distribution.search import (
     exhaustive_assignment_search,
     hill_climb_assignment_search,
@@ -79,71 +84,59 @@ def _parse_numbers(text: str | None, kind: type, what: str) -> list:
         ) from None
 
 
+def _parse_names(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def _parse_filesystem(args: argparse.Namespace) -> FileSystem:
     sizes = _parse_numbers(args.fields, int, "--fields")
     return FileSystem.of(*sizes, m=args.devices)
 
 
-def _add_filesystem_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fields",
-        required=True,
-        help="comma-separated field sizes (powers of two), e.g. 8,8,16",
-    )
-    parser.add_argument(
-        "--devices",
-        type=int,
-        required=True,
-        help="number of parallel devices M (a power of two)",
+def _method(fs: FileSystem, name: str, **opts):
+    """:func:`repro.api.make_method` on a parsed file system."""
+    return make_method(name, fields=fs.field_sizes, devices=fs.m, **opts)
+
+
+def _workload(fs: FileSystem, args: argparse.Namespace):
+    """The seeded random query stream (``--p``, ``--seed``)."""
+    from repro.query.workload import QueryWorkload, WorkloadSpec
+
+    return QueryWorkload(
+        fs,
+        WorkloadSpec(spec_probability=args.p, exclude_trivial=True,
+                     seed=args.seed),
     )
 
 
-def _serving_parser() -> argparse.ArgumentParser:
-    """The options ``serve`` and ``gateway`` share, as a parent parser.
+def _seeded_records(fs: FileSystem, count: int, seed: int) -> list[tuple]:
+    """The deterministic record stream loaded before a run."""
+    import random as _random
 
-    Built afresh per command: argparse shares a parent's actions with
-    every child, so one instance would let a child's ``set_defaults``
-    (``--requests`` and ``--write-every`` differ) leak into the other.
-    """
-    parser = argparse.ArgumentParser(add_help=False)
-    _add_filesystem_arguments(parser)
-    parser.add_argument(
-        "--method", default="fx", choices=list(method_names()),
-        help="distribution method of the served file(s)",
-    )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the records and request logs")
-    parser.add_argument("--p", type=float, default=0.5,
-                        help="per-field specification probability")
-    parser.add_argument("--requests", type=int,
-                        help="requests issued by each client or connection")
-    parser.add_argument(
-        "--write-every", type=int, dest="write_every",
-        help="every k-th request of a client is an insert (0 = none)",
-    )
-    parser.add_argument(
-        "--max-concurrent", type=int, default=8, dest="max_concurrent",
-        help="requests a service runs at once before queueing",
-    )
-    parser.add_argument(
-        "--queue-limit", type=int, default=32, dest="queue_limit",
-        help="waiting requests beyond which admission sheds",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-request deadline in milliseconds",
-    )
-    parser.add_argument(
-        "--cache-capacity", type=int, default=64, dest="cache_capacity",
-        help="result-cache entries per service",
-    )
-    parser.add_argument(
-        "--verify", action="store_true",
-        help="serial-replay every request log; fail on any stale read",
-    )
-    parser.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON instead of tables")
-    return parser
+    rng = _random.Random(seed)
+    return [
+        tuple(rng.randrange(1024) for __ in range(fs.n_fields))
+        for __ in range(count)
+    ]
+
+
+def _fresh_telemetry(deterministic_clock: bool) -> None:
+    """Reset telemetry.  A manual clock makes the whole run — span
+    timestamps *and* the perf-counter seconds — reproducible, so
+    ``obs export`` output is byte-identical across runs."""
+    from repro import obs
+
+    if deterministic_clock:
+        obs.configure(clock=obs.ManualClock(step=0.001), reset=True)
+    else:
+        obs.reset_telemetry()
+
+
+def _fail(code: str, **detail: object) -> None:
+    """Machine-readable failure on stderr, so scripted callers (CI, make
+    targets) can tell a failed run apart from a crash."""
+    print(json.dumps({"v": 1, "error": {"code": code, **detail}}),
+          file=sys.stderr)
 
 
 def _serving_options(args: argparse.Namespace) -> dict:
@@ -190,15 +183,14 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     fs = _parse_filesystem(args)
-    kwargs: dict[str, object] = {}
-    if args.method == "gdm":
-        kwargs["multipliers"] = tuple(
-            _parse_numbers(args.multipliers, int, "--multipliers")
-        ) or default_gdm_multipliers(fs.n_fields)
+    options: dict[str, object] = {}
+    if args.method == "gdm" and (
+        multipliers := _parse_numbers(args.multipliers, int, "--multipliers")
+    ):
+        options["multipliers"] = tuple(multipliers)
     if args.method == "fx" and args.transforms:
-        kwargs["transforms"] = args.transforms.split(",")
-    method = create_method(args.method, fs, **kwargs)
-    report = optimality_report(method, parallel=args.parallel)
+        options["transforms"] = args.transforms
+    report = optimality_report(_method(fs, args.method, **options))
     print(report.summary())
     if report.failures and args.failures:
         rows = [
@@ -218,15 +210,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_skew(args: argparse.Namespace) -> int:
     from repro.analysis.skew import skew_summary
-    from repro.distribution.gdm import GDMDistribution
-    from repro.distribution.modulo import ModuloDistribution
 
     fs = _parse_filesystem(args)
     methods = [
-        FXDistribution(fs, policy="theorem9"),
-        FXDistribution(fs, policy="paper"),
-        ModuloDistribution(fs),
-        GDMDistribution(fs, multipliers=default_gdm_multipliers(fs.n_fields)),
+        _method(fs, "fx", policy="theorem9"),
+        _method(fs, "fx", policy="paper"),
+        _method(fs, "modulo"),
+        _method(fs, "gdm"),
     ]
     rows = [skew_summary(method, p=args.p).row() for method in methods]
     rows[0][0] = "fx (theorem9)"
@@ -246,13 +236,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     fs = _parse_filesystem(args)
     if args.space == "families":
         if len(fs.small_fields()) <= 6:
-            result = exhaustive_assignment_search(
-                fs, p=args.p, parallel=args.parallel
-            )
+            result = exhaustive_assignment_search(fs, p=args.p)
             how = f"exhaustive, {result.evaluations} assignments"
         else:
             result = hill_climb_assignment_search(
-                fs, p=args.p, seed=args.seed, parallel=args.parallel
+                fs, p=args.p, seed=args.seed
             )
             how = f"hill climb, {result.evaluations} evaluations"
         print(f"best assignment ({how}): {result.methods}")
@@ -300,27 +288,17 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.distribution.gdm import GDMDistribution
-    from repro.distribution.modulo import ModuloDistribution
-    from repro.query.workload import QueryWorkload, WorkloadSpec
     from repro.storage.costs import DiskCostModel
     from repro.storage.simulator import ParallelQuerySimulator, poisson_arrivals
 
     fs = _parse_filesystem(args)
-    workload = QueryWorkload(
-        fs,
-        WorkloadSpec(spec_probability=args.p, exclude_trivial=True,
-                     seed=args.seed),
-    )
     arrivals = poisson_arrivals(
-        workload, args.queries, rate_qps=args.rate, seed=args.seed
+        _workload(fs, args), args.queries, rate_qps=args.rate, seed=args.seed
     )
     methods = {
-        "FX": FXDistribution(fs, policy="paper"),
-        "Modulo": ModuloDistribution(fs),
-        "GDM": GDMDistribution(
-            fs, multipliers=default_gdm_multipliers(fs.n_fields)
-        ),
+        "FX": _method(fs, "fx", policy="paper"),
+        "Modulo": _method(fs, "modulo"),
+        "GDM": _method(fs, "gdm"),
     }
     reports = {
         name: ParallelQuerySimulator(
@@ -359,11 +337,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.experiments.verification import verify_method
 
     fs = _parse_filesystem(args)
-    if args.method == "fx":
-        method = FXDistribution(fs, policy=args.policy)
-    else:
-        method = create_method(args.method, fs)
-    report = verify_method(method)
+    options = {"policy": args.policy} if args.method == "fx" else {}
+    report = verify_method(_method(fs, args.method, **options))
     print(report.summary())
     for pattern, engines in report.disagreements[:10]:
         print(f"  pattern {sorted(pattern)}: {engines}")
@@ -402,53 +377,39 @@ def _parse_slow_map(text: str | None) -> dict[int, float]:
     return factors
 
 
-def _parse_fault_plan(args: argparse.Namespace, default_fail=""):
-    from repro.runtime import FaultPlan
+def _fault_plan(args: argparse.Namespace):
+    """The fault plan and retry policy of a ``faults`` action."""
+    from repro.runtime import FaultPlan, RetryPolicy
 
-    return FaultPlan(
+    plan = FaultPlan(
         seed=args.seed,
         failed_devices=frozenset(
-            _parse_numbers(
-                args.fail if args.fail is not None else default_fail,
-                int,
-                "device list",
-            )
+            _parse_numbers(args.fail, int, "device list")
         ),
         transient_error_rate=args.error_rate,
         slow_factors=_parse_slow_map(args.slow),
     )
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    if args.action == "run":
-        return _cmd_faults_run(args)
-    return _cmd_faults_report(args)
+    retry = RetryPolicy(max_attempts=args.retries, timeout_ms=args.timeout)
+    return plan, retry
 
 
 def _cmd_faults_run(args: argparse.Namespace) -> int:
     """Stream a seeded workload through the fault-aware simulator."""
     from repro.distribution.replicated import ChainedReplicaScheme
-    from repro.query.workload import QueryWorkload, WorkloadSpec
-    from repro.runtime import FaultAwareQuerySimulator, RetryPolicy
+    from repro.runtime import FaultAwareQuerySimulator
     from repro.storage.costs import DiskCostModel
     from repro.storage.simulator import poisson_arrivals
 
     fs = _parse_filesystem(args)
-    method = make_method(args.method, fields=fs.field_sizes, devices=fs.m)
+    method = _method(fs, args.method)
     scheme = (
         ChainedReplicaScheme(method, offset=args.offset)
         if args.replicate
         else None
     )
-    plan = _parse_fault_plan(args)
-    retry = RetryPolicy(max_attempts=args.retries, timeout_ms=args.timeout)
-    workload = QueryWorkload(
-        fs,
-        WorkloadSpec(spec_probability=args.p, exclude_trivial=True,
-                     seed=args.seed),
-    )
+    plan, retry = _fault_plan(args)
     arrivals = poisson_arrivals(
-        workload, args.queries, rate_qps=args.rate, seed=args.seed
+        _workload(fs, args), args.queries, rate_qps=args.rate, seed=args.seed
     )
     report = FaultAwareQuerySimulator(
         method, plan=plan, retry=retry, scheme=scheme,
@@ -478,34 +439,22 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
 
 def _cmd_faults_report(args: argparse.Namespace) -> int:
     """Availability curves plus a live failover demo and runtime counters."""
-    import random as _random
-
     from repro.analysis.availability import degraded_response_curve
     from repro.distribution.replicated import ChainedReplicaScheme
     from repro.obs.metrics import default_registry
-    from repro.query.workload import QueryWorkload, WorkloadSpec
-    from repro.runtime import DegradedExecutor, RetryPolicy
+    from repro.runtime import DegradedExecutor
     from repro.storage.costs import DiskCostModel
     from repro.storage.parallel_file import PartitionedFile
     from repro.storage.replicated_file import ReplicatedFile
 
     fs = _parse_filesystem(args)
     default_registry().reset_perf()
-    plan = _parse_fault_plan(args, default_fail="0")
-    retry = RetryPolicy(max_attempts=args.retries, timeout_ms=args.timeout)
-    workload = QueryWorkload(
-        fs,
-        WorkloadSpec(spec_probability=args.p, exclude_trivial=True,
-                     seed=args.seed),
-    )
-    queries = [workload.next_query() for __ in range(min(args.queries, 25))]
+    plan, retry = _fault_plan(args)
+    queries = _workload(fs, args).take(min(args.queries, 25))
 
-    fx = make_method("fx", fields=fs.field_sizes, devices=fs.m)
-    modulo = make_method("modulo", fields=fs.field_sizes, devices=fs.m)
-    replicated_fx = make_method(
-        "replicated", fields=fs.field_sizes, devices=fs.m,
-        base="fx", offset=args.offset,
-    )
+    fx = _method(fs, "fx")
+    modulo = _method(fs, "modulo")
+    replicated_fx = _method(fs, "replicated", base="fx", offset=args.offset)
     k_values = range(min(args.max_failures, fs.m) + 1)
     curves = {
         "FX": degraded_response_curve(
@@ -549,21 +498,12 @@ def _cmd_faults_report(args: argparse.Namespace) -> int:
 
     # Live failover demo: the same records and plan against a replicated
     # and an unreplicated file, driving the runtime counters shown below.
-    rng = _random.Random(args.seed)
-    records = [
-        tuple(rng.randrange(1024) for __ in range(fs.n_fields))
-        for __ in range(64)
-    ]
+    records = _seeded_records(fs, 64, args.seed)
     replicated = ReplicatedFile(
-        ChainedReplicaScheme(
-            make_method("fx", fields=fs.field_sizes, devices=fs.m),
-            offset=args.offset,
-        )
+        ChainedReplicaScheme(_method(fs, "fx"), offset=args.offset)
     )
     replicated.insert_all(records)
-    plain = PartitionedFile(
-        make_method("fx", fields=fs.field_sizes, devices=fs.m)
-    )
+    plain = PartitionedFile(_method(fs, "fx"))
     plain.insert_all(records)
     masked = DegradedExecutor(replicated, plan=plan, retry=retry)
     exposed = DegradedExecutor(plain, plan=plan, retry=retry)
@@ -600,69 +540,30 @@ def _cmd_faults_report(args: argparse.Namespace) -> int:
 def _obs_queries(args: argparse.Namespace):
     """The replay workload: a trace file or a seeded random stream."""
     from repro.query.trace import load_trace
-    from repro.query.workload import QueryWorkload, WorkloadSpec
 
     fs = _parse_filesystem(args)
-    method = make_method(args.method, fields=fs.field_sizes, devices=fs.m)
+    method = _method(fs, args.method)
     if args.trace:
-        queries = load_trace(fs, args.trace)
-    else:
-        workload = QueryWorkload(
-            fs,
-            WorkloadSpec(spec_probability=args.p, exclude_trivial=True,
-                         seed=args.seed),
-        )
-        queries = workload.take(args.queries)
-    return method, queries
+        return method, load_trace(fs, args.trace)
+    return method, _workload(fs, args).take(args.queries)
 
 
 def _obs_replay(args: argparse.Namespace):
-    """Reset telemetry, then replay the workload end to end.
-
-    ``--deterministic-clock`` injects a :class:`~repro.obs.ManualClock`
-    first, which makes the whole run — span timestamps *and* the
-    perf-counter seconds — reproducible, so ``obs export`` output is
-    byte-identical across runs.
-    """
-    import random as _random
-
-    from repro import obs
+    """Reset telemetry, then replay the workload end to end."""
     from repro.engine.plan import ArrayBatchPlanner
     from repro.storage.executor import QueryExecutor
     from repro.storage.parallel_file import PartitionedFile
 
-    if args.deterministic_clock:
-        obs.configure(clock=obs.ManualClock(step=0.001), reset=True)
-    else:
-        obs.reset_telemetry()
+    _fresh_telemetry(args.deterministic_clock)
     method, queries = _obs_queries(args)
-    fs = method.filesystem
     pf = PartitionedFile(method)
-    rng = _random.Random(args.seed)
-    pf.insert_all(
-        [
-            tuple(rng.randrange(1024) for __ in range(fs.n_fields))
-            for __ in range(args.records)
-        ]
-    )
+    pf.insert_all(_seeded_records(method.filesystem, args.records, args.seed))
     executor = QueryExecutor(pf)
     for query in queries:
         executor.execute(query)
     if len(queries) > 1:
         ArrayBatchPlanner(method).plan(queries)
     return method, queries
-
-
-def _cmd_obs(args: argparse.Namespace) -> int:
-    if args.action == "report":
-        return _cmd_obs_report(args)
-    if args.action == "export":
-        return _cmd_obs_export(args)
-    if args.action == "tail":
-        return _cmd_obs_tail(args)
-    if args.action == "slo":
-        return _cmd_obs_slo(args)
-    return _cmd_obs_check(args)
 
 
 def _span_keep(args: argparse.Namespace):
@@ -673,8 +574,7 @@ def _span_keep(args: argparse.Namespace):
     links to the owning ``gateway.request`` span, the same attribution
     the query-mix profiler uses.
     """
-    tenant = getattr(args, "filter_tenant", None)
-    trace_id = getattr(args, "trace_id", None)
+    tenant, trace_id = args.filter_tenant, args.trace_id
     if tenant is None and trace_id is None:
         return None
     from repro.obs import telemetry
@@ -775,8 +675,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
 def _cmd_obs_export(args: argparse.Namespace) -> int:
     """Replay, then write the structured run as canonical JSONL."""
-    import sys
-
     from repro.obs import telemetry, validate_jsonl
     from repro.obs.events import jsonl_line
 
@@ -837,13 +735,9 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
 
 def _cmd_obs_check(args: argparse.Namespace) -> int:
     """Verify the strict-optimality bound from telemetry alone."""
-    from repro import obs
     from repro.obs import ObservedOptimalityChecker
 
-    if args.deterministic_clock:
-        obs.configure(clock=obs.ManualClock(step=0.001), reset=True)
-    else:
-        obs.reset_telemetry()
+    _fresh_telemetry(args.deterministic_clock)
     method, queries = _obs_queries(args)
     report = ObservedOptimalityChecker(method).replay(
         queries, batched=args.batched
@@ -863,6 +757,40 @@ def _cmd_obs_check(args: argparse.Namespace) -> int:
     return 0 if report.consistent else 1
 
 
+def _loopback_run(args: argparse.Namespace, gateway,
+                  fetch_obs: bool = False, **load: object):
+    """Start *gateway*, drive the seeded loopback load over the wire and
+    drain it; *load* adds :class:`~repro.gateway.GatewayLoadSpec` fields.
+
+    Returns the load report, the ``{"op": "obs"}`` snapshot fetched over
+    the wire after the load (with *fetch_obs*, else None) and whether the
+    drain was clean.
+    """
+    from repro.gateway import GatewayLoadSpec, run_loopback_load
+    from repro.gateway.client import GatewayClient
+
+    host, port = gateway.start()
+    snapshot = None
+    try:
+        report = run_loopback_load(
+            (host, port),
+            list(gateway.tenants.values()),
+            GatewayLoadSpec(
+                connections_per_tenant=args.connections,
+                requests_per_connection=args.requests,
+                seed=args.seed,
+                spec_probability=args.p,
+                **load,
+            ),
+        )
+        if fetch_obs:
+            with GatewayClient(host, port) as client:
+                snapshot = client.obs()
+    finally:
+        clean = gateway.drain()
+    return report, snapshot, clean
+
+
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
     """Serve a loopback multi-tenant load, then report SLO budgets.
 
@@ -871,43 +799,23 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
     same path an external monitor would: framed request in, labeled
     metrics + per-tenant SLO budgets out.
     """
-    from repro import obs
     from repro.api import make_gateway
-    from repro.gateway import GatewayLoadSpec, run_loopback_load
-    from repro.gateway.client import GatewayClient
     from repro.obs.slo import SloReport
 
-    if args.deterministic_clock:
-        obs.configure(clock=obs.ManualClock(step=0.001), reset=True)
-    else:
-        obs.reset_telemetry()
+    _fresh_telemetry(args.deterministic_clock)
     fs = _parse_filesystem(args)
-    tenant_names = [
-        name.strip() for name in args.tenants.split(",") if name.strip()
-    ]
     gateway = make_gateway(
-        {name: {"request_quota": args.quota} for name in tenant_names},
+        {
+            name: {"request_quota": args.quota}
+            for name in _parse_names(args.tenants)
+        },
         fields=fs.field_sizes,
         devices=fs.m,
         method=args.method,
     )
-    host, port = gateway.start()
-    try:
-        load = run_loopback_load(
-            (host, port),
-            list(gateway.tenants.values()),
-            GatewayLoadSpec(
-                connections_per_tenant=args.connections,
-                requests_per_connection=args.requests,
-                seed=args.seed,
-                spec_probability=args.p,
-                preload=min(args.records, 32),
-            ),
-        )
-        with GatewayClient(host, port) as client:
-            snapshot = client.obs()
-    finally:
-        clean = gateway.drain()
+    load, snapshot, clean = _loopback_run(
+        args, gateway, fetch_obs=True, preload=min(args.records, 32)
+    )
     report = SloReport.from_dict(snapshot["slo"])
     if args.json:
         print(json.dumps(snapshot["slo"], indent=2, sort_keys=True))
@@ -920,36 +828,6 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
         )
     ok = clean and not load.errors and report.healthy
     return 0 if ok else 1
-
-
-def _seeded_records(fs: FileSystem, count: int, seed: int) -> list[tuple]:
-    """The deterministic record stream every recover action inserts."""
-    import random as _random
-
-    rng = _random.Random(seed)
-    return [
-        tuple(rng.randrange(1024) for __ in range(fs.n_fields))
-        for __ in range(count)
-    ]
-
-
-def _recover_telemetry(args: argparse.Namespace) -> None:
-    from repro import obs
-
-    if getattr(args, "deterministic_clock", False):
-        obs.configure(clock=obs.ManualClock(step=0.001), reset=True)
-    else:
-        obs.reset_telemetry()
-
-
-def _cmd_recover(args: argparse.Namespace) -> int:
-    if args.action == "scrub":
-        return _cmd_recover_scrub(args)
-    if args.action == "replay":
-        return _cmd_recover_replay(args)
-    if args.action == "rebuild":
-        return _cmd_recover_rebuild(args)
-    return _cmd_recover_report(args)
 
 
 def _recover_scrub_data(args: argparse.Namespace) -> dict:
@@ -980,7 +858,7 @@ def _recover_scrub_data(args: argparse.Namespace) -> dict:
 
 
 def _cmd_recover_scrub(args: argparse.Namespace) -> int:
-    _recover_telemetry(args)
+    _fresh_telemetry(args.deterministic_clock)
     data = _recover_scrub_data(args)
     if args.json:
         print(json.dumps(data, indent=2))
@@ -1053,7 +931,7 @@ def _recover_replay_data(args: argparse.Namespace) -> dict:
 
 
 def _cmd_recover_replay(args: argparse.Namespace) -> int:
-    _recover_telemetry(args)
+    _fresh_telemetry(args.deterministic_clock)
     data = _recover_replay_data(args)
     if args.json:
         print(json.dumps(data, indent=2))
@@ -1076,7 +954,6 @@ def _recover_rebuild_data(args: argparse.Namespace) -> dict:
     """Lose a device, rebuild from replicas, verify digest and the bound."""
     from repro.api import make_durable_file
     from repro.durability import DeviceRebuilder
-    from repro.query.workload import QueryWorkload, WorkloadSpec
 
     fs = _parse_filesystem(args)
     durable = make_durable_file(
@@ -1085,12 +962,7 @@ def _recover_rebuild_data(args: argparse.Namespace) -> dict:
     durable.insert_all(_seeded_records(fs, args.records, args.seed))
     before = durable.state_digest()
     durable.file.lose_device(args.lose)
-    workload = QueryWorkload(
-        fs,
-        WorkloadSpec(spec_probability=args.p, exclude_trivial=True,
-                     seed=args.seed),
-    )
-    queries = workload.take(args.queries) if args.queries else None
+    queries = _workload(fs, args).take(args.queries) if args.queries else None
     report = DeviceRebuilder(durable.file).rebuild(
         args.lose, queries=queries
     )
@@ -1102,7 +974,7 @@ def _recover_rebuild_data(args: argparse.Namespace) -> dict:
 
 
 def _cmd_recover_rebuild(args: argparse.Namespace) -> int:
-    _recover_telemetry(args)
+    _fresh_telemetry(args.deterministic_clock)
     data = _recover_rebuild_data(args)
     if args.json:
         print(json.dumps(data, indent=2))
@@ -1127,7 +999,7 @@ def _cmd_recover_report(args: argparse.Namespace) -> int:
     """All three durability drills plus the durability counters."""
     from repro.obs import telemetry
 
-    _recover_telemetry(args)
+    _fresh_telemetry(args.deterministic_clock)
     combined = {
         "scrub": _recover_scrub_data(args),
         "replay": _recover_replay_data(args),
@@ -1217,22 +1089,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     degraded = (shed or timed_out) and not args.allow_degraded
     ok = not report.errors and not mismatches and not degraded
     if degraded:
-        # Machine-readable failure on stderr so scripted callers (CI, make
-        # targets) can tell "load was shed" apart from a crash.
-        print(
-            json.dumps(
-                {
-                    "v": 1,
-                    "error": {
-                        "code": "degraded_load",
-                        "message": "load run ended with shed or timed-out "
-                        "requests (pass --allow-degraded to tolerate)",
-                        "shed": shed,
-                        "timeout": timed_out,
-                    },
-                }
-            ),
-            file=sys.stderr,
+        _fail(
+            "degraded_load",
+            message="load run ended with shed or timed-out requests "
+            "(pass --allow-degraded to tolerate)",
+            shed=shed,
+            timeout=timed_out,
         )
     if args.json:
         data["counters"] = counters
@@ -1276,16 +1138,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_gateway(args: argparse.Namespace) -> int:
-    """Run the multi-tenant network gateway over a loopback load."""
+    """Run the multi-tenant network gateway over a loopback load.
+
+    The tenant gate's ``shed`` and ``rate_limited`` replies are the
+    quota and rate limits at work; any other coded reply fails the run.
+    """
     from repro import obs
     from repro.api import make_gateway
-    from repro.gateway import GatewayLoadSpec, run_loopback_load
+    from repro.gateway.tenant import RATE_LIMITED, SHED
 
     obs.reset_telemetry()
     fs = _parse_filesystem(args)
-    tenant_names = [
-        name.strip() for name in args.tenants.split(",") if name.strip()
-    ]
+    tenant_names = _parse_names(args.tenants)
     tenants = {
         name: {
             "request_quota": args.quota,
@@ -1305,8 +1169,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         max_connections=args.max_connections,
         **_serving_options(args),
     )
-    host, port = gateway.start()
     if args.listen:
+        host, port = gateway.start()
         print(f"gateway listening on {host}:{port} "
               f"(tenants: {', '.join(tenant_names)}; Ctrl-C to drain)")
         try:
@@ -1317,21 +1181,14 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         clean = gateway.drain()
         return 0 if clean else 1
 
-    report = run_loopback_load(
-        (host, port),
-        list(gateway.tenants.values()),
-        GatewayLoadSpec(
-            connections_per_tenant=args.connections,
-            requests_per_connection=args.requests,
-            seed=args.seed,
-            spec_probability=args.p,
-            write_every=args.write_every,
-            batch_every=args.batch_every,
-            preload=args.preload,
-            deadline_ms=args.deadline,
-        ),
+    report, __, clean_drain = _loopback_run(
+        args,
+        gateway,
+        write_every=args.write_every,
+        batch_every=args.batch_every,
+        preload=args.preload,
+        deadline_ms=args.deadline,
     )
-    clean_drain = gateway.drain()
     if args.export_jsonl:
         from pathlib import Path
 
@@ -1348,21 +1205,21 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         for name, value in sorted(snap.counters.items())
         if name.startswith("gateway.") and "latency" not in name
     }
-    ok = not report.errors and not mismatches and clean_drain
+    failed_codes = sorted(
+        {code for codes in report.rejections.values() for code in codes}
+        - {SHED, RATE_LIMITED}
+    )
+    ok = (
+        not report.errors and not mismatches and clean_drain
+        and not failed_codes
+    )
     if not ok:
-        print(
-            json.dumps(
-                {
-                    "v": 1,
-                    "error": {
-                        "code": "gateway_load_failed",
-                        "transport_errors": len(report.errors),
-                        "stale_tenants": sorted(mismatches),
-                        "clean_drain": clean_drain,
-                    },
-                }
-            ),
-            file=sys.stderr,
+        _fail(
+            "gateway_load_failed",
+            transport_errors=len(report.errors),
+            stale_tenants=sorted(mismatches),
+            clean_drain=clean_drain,
+            rejection_codes=failed_codes,
         )
     if args.json:
         data = report.to_dict()
@@ -1426,9 +1283,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     obs.reset_telemetry()
     fs = _parse_filesystem(args)
-    tenant_names = [
-        name.strip() for name in args.tenants.split(",") if name.strip()
-    ]
+    tenant_names = _parse_names(args.tenants)
     tenants = [
         TenantSpec.of(name, fs.field_sizes, fs.m, method=args.method)
         for name in tenant_names
@@ -1465,18 +1320,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     report = run_chaos_load(tenants, spec)
     violations = report.verify()
     if violations:
-        print(
-            json.dumps(
-                {
-                    "v": 1,
-                    "error": {
-                        "code": "chaos_invariant_violated",
-                        "violations": violations,
-                    },
-                }
-            ),
-            file=sys.stderr,
-        )
+        _fail("chaos_invariant_violated", violations=violations)
     if args.json:
         data = report.to_dict()
         print(json.dumps(data, indent=2))
@@ -1560,45 +1404,36 @@ def _adapt_baseline(args: argparse.Namespace, fs: FileSystem):
     p=0.5 independence model) — the strongest mix-blind competitor.
     """
     if args.transforms:
-        names = [t.strip() for t in args.transforms.split(",") if t.strip()]
-        return FXDistribution(fs, transforms=names)
+        return FXDistribution(fs, transforms=args.transforms)
     if len(fs.small_fields()) <= 6:
-        result = exhaustive_assignment_search(fs, parallel=args.parallel)
+        result = exhaustive_assignment_search(fs)
     else:
-        result = hill_climb_assignment_search(
-            fs, seed=args.seed, parallel=args.parallel
-        )
+        result = hill_climb_assignment_search(fs, seed=args.seed)
     return FXDistribution(fs, transforms=list(result.methods))
 
 
-def _adapt_pattern_rows(plan, model, fs: FileSystem) -> list[list[object]]:
-    """Per-pattern table: weight and before/after load factors."""
+def _load_factor_rows(model, fs: FileSystem, *methods) -> list[list]:
+    """Per-pattern rows: mix weight, then each method's load factor."""
     from repro.adaptive import pattern_to_unspecified
     from repro.analysis.skew import pattern_load_factor
 
-    baseline = FXDistribution(fs, transforms=list(plan.baseline_names))
-    candidate = plan.build()
     rows = []
     for indicator, weight in model.frequencies().items():
         pattern = pattern_to_unspecified(indicator, fs.n_fields)
         rows.append(
-            [
-                indicator,
-                f"{100 * weight:.1f}%",
-                round(pattern_load_factor(baseline, pattern), 3),
-                round(pattern_load_factor(candidate, pattern), 3),
-            ]
+            [indicator, f"{100 * weight:.1f}%"]
+            + [round(pattern_load_factor(m, pattern), 3) for m in methods]
         )
     return rows
 
 
-def _adapt_plan(args: argparse.Namespace, fs: FileSystem, model):
+def _adapt_plan(args: argparse.Namespace, fs: FileSystem, model, baseline):
     from repro.adaptive import adaptive_transform_search
 
     return adaptive_transform_search(
         fs,
         model,
-        baseline=_adapt_baseline(args, fs),
+        baseline=baseline,
         restarts=args.restarts,
         seed=args.seed,
         linear_draws=args.linear_draws,
@@ -1608,7 +1443,6 @@ def _adapt_plan(args: argparse.Namespace, fs: FileSystem, model):
 def _cmd_adapt_score(args: argparse.Namespace) -> int:
     """Score the deployed assignment against the observed mix."""
     from repro.adaptive import score_method
-    from repro.analysis.skew import pattern_load_factor
 
     fs = _parse_filesystem(args)
     model = _adapt_model(args, fs)
@@ -1626,22 +1460,10 @@ def _cmd_adapt_score(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    rows = []
-    for indicator, weight in model.frequencies().items():
-        from repro.adaptive import pattern_to_unspecified
-
-        pattern = pattern_to_unspecified(indicator, fs.n_fields)
-        rows.append(
-            [
-                indicator,
-                f"{100 * weight:.1f}%",
-                round(pattern_load_factor(baseline, pattern), 3),
-            ]
-        )
     print(
         format_table(
             ["pattern", "weight", "load factor"],
-            rows,
+            _load_factor_rows(model, fs, baseline),
             title=f"Observed mix vs {baseline.describe()}",
         )
     )
@@ -1659,14 +1481,15 @@ def _cmd_adapt_plan(args: argparse.Namespace) -> int:
     """Search for a better assignment; rc 1 when none exists."""
     fs = _parse_filesystem(args)
     model = _adapt_model(args, fs)
-    plan = _adapt_plan(args, fs, model)
+    baseline = _adapt_baseline(args, fs)
+    plan = _adapt_plan(args, fs, model, baseline)
     if args.json:
         print(json.dumps(plan.to_dict(), sort_keys=True))
         return 0 if plan.worthwhile else 1
     print(
         format_table(
             ["pattern", "weight", "LF now", "LF planned"],
-            _adapt_pattern_rows(plan, model, fs),
+            _load_factor_rows(model, fs, baseline, plan.build()),
             title=f"Adaptive plan for {fs.describe()}",
         )
     )
@@ -1689,7 +1512,7 @@ def _cmd_adapt_apply(args: argparse.Namespace) -> int:
     obs.configure(enabled=True)
     fs = _parse_filesystem(args)
     model = _adapt_model(args, fs)
-    plan = _adapt_plan(args, fs, model)
+    plan = _adapt_plan(args, fs, model, _adapt_baseline(args, fs))
     if not plan.worthwhile and not args.force:
         print("no assignment beats the deployed one on this mix; "
               "nothing to apply")
@@ -1726,54 +1549,275 @@ def _cmd_adapt_apply(args: argparse.Namespace) -> int:
     return 0 if report.verified else 1
 
 
-def _cmd_adapt(args: argparse.Namespace) -> int:
-    if args.action == "score":
-        return _cmd_adapt_score(args)
-    if args.action == "plan":
-        return _cmd_adapt_plan(args)
-    return _cmd_adapt_apply(args)
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Declare the named options on *parser*, one command's own parser.
+
+    Every option that more than one command or action reads is declared
+    here, once.  A command that needs another default sets it with
+    ``set_defaults`` on its own parser; the parser is built afresh per
+    command, so the default reaches no other command.
+    """
+    for name in names:
+        match name:
+            case "filesystem":
+                parser.add_argument(
+                    "--fields", required=True,
+                    help="comma-separated field sizes (powers of two), "
+                    "e.g. 8,8,16",
+                )
+                parser.add_argument(
+                    "--devices", type=int, required=True,
+                    help="number of parallel devices M (a power of two)",
+                )
+            case "method":
+                parser.add_argument(
+                    "--method", default="fx", choices=available_methods(),
+                    help="distribution method",
+                )
+            case "seed":
+                parser.add_argument(
+                    "--seed", type=int, default=0,
+                    help="seed for the workload, records and faults",
+                )
+            case "p":
+                parser.add_argument(
+                    "--p", type=float, default=0.5,
+                    help="per-field specification probability",
+                )
+            case "json":
+                parser.add_argument(
+                    "--json", action="store_true",
+                    help="emit machine-readable JSON instead of tables",
+                )
+            case "records":
+                parser.add_argument(
+                    "--records", type=int, default=64,
+                    help="seeded records inserted before the run",
+                )
+            case "queries":
+                parser.add_argument(
+                    "--queries", type=int, default=200,
+                    help="size of the seeded query workload",
+                )
+            case "rate":
+                parser.add_argument(
+                    "--rate", type=float, default=5.0,
+                    help="Poisson arrival rate (queries/s)",
+                )
+            case "deterministic_clock":
+                parser.add_argument(
+                    "--deterministic-clock", action="store_true",
+                    help="inject a manual clock: timestamps (and the "
+                    "export bytes) become identical across runs",
+                )
+            case "tenants":
+                parser.add_argument(
+                    "--tenants", default="alpha,beta",
+                    help="comma-separated tenant namespace names",
+                )
+            case "connections":
+                parser.add_argument(
+                    "--connections", type=int, default=2,
+                    help="loopback connections (clients) per tenant",
+                )
+            case "requests":
+                parser.add_argument(
+                    "--requests", type=int, default=25,
+                    help="requests issued by each client or connection",
+                )
+            case "write_every":
+                parser.add_argument(
+                    "--write-every", type=int, default=0,
+                    help="every k-th request of a client is an insert "
+                    "(0 = none)",
+                )
+            case "batch_every":
+                parser.add_argument(
+                    "--batch-every", type=int, default=0,
+                    help="every k-th op is a multi-query batch frame "
+                    "(0 = never)",
+                )
+            case "preload":
+                parser.add_argument(
+                    "--preload", type=int, default=16,
+                    help="records inserted per tenant before the timed run",
+                )
+            case "quota":
+                parser.add_argument(
+                    "--quota", type=int, default=None,
+                    help="per-tenant lifetime request quota "
+                    "(default: unlimited)",
+                )
+            case "offset":
+                parser.add_argument(
+                    "--offset", type=int, default=1,
+                    help="chained replica offset (backup of d is "
+                    "(d+offset) mod M)",
+                )
+            case "torn_tail":
+                parser.add_argument(
+                    "--torn-tail", action="store_true",
+                    help="leave half a WAL frame behind at the crash",
+                )
+            case "transforms":
+                parser.add_argument(
+                    "--transforms", type=_parse_names, default=None,
+                    help="FX transform family per field, comma-separated, "
+                    "e.g. I,U,IU1",
+                )
+            case "fault_plan":
+                parser.add_argument(
+                    "--fail", default="",
+                    help="comma-separated fail-stop devices, e.g. 0,3",
+                )
+                parser.add_argument(
+                    "--error-rate", type=float, default=0.0,
+                    help="per-attempt transient read failure probability",
+                )
+                parser.add_argument(
+                    "--slow", default=None,
+                    help="straggler latency factors as device:factor "
+                    "pairs, e.g. 1:2.0,5:4.0",
+                )
+                parser.add_argument(
+                    "--retries", type=int, default=3,
+                    help="max read attempts per device batch",
+                )
+                parser.add_argument(
+                    "--timeout", type=float, default=None,
+                    help="per-device timeout (modelled ms)",
+                )
+            case "trace":
+                parser.add_argument(
+                    "--trace", default=None,
+                    help="replay queries from a trace file instead of the "
+                    "seeded workload",
+                )
+            case "span_filters":
+                parser.add_argument(
+                    "--tenant", dest="filter_tenant", metavar="TENANT",
+                    default=None,
+                    help="keep spans attributed to this tenant (resolved "
+                    "by walking parent links to the gateway.request span)",
+                )
+                parser.add_argument(
+                    "--trace-id", type=lambda s: int(s, 0), default=None,
+                    help="keep spans of one trace (decimal or 0x hex)",
+                )
+            case "corruption_rate":
+                parser.add_argument(
+                    "--corruption-rate", type=float, default=0.05,
+                    help="per-page corruption probability",
+                )
+            case "crash_points":
+                parser.add_argument(
+                    "--crash-after", type=int, default=None,
+                    help="crash at this WAL record boundary "
+                    "(default: halfway through the workload)",
+                )
+                parser.add_argument(
+                    "--all-offsets", action="store_true",
+                    help="sweep every boundary 0..N instead of one",
+                )
+            case "lose":
+                parser.add_argument(
+                    "--lose", type=int, default=0,
+                    help="device to wipe and reconstruct",
+                )
+            case "mix":
+                parser.add_argument(
+                    "--profile", default=None,
+                    help="observed mix: a query-mix profile JSON or an "
+                    "'obs export' JSONL file",
+                )
+                parser.add_argument(
+                    "--tenant", default=None,
+                    help="adapt to this tenant's profiled mix (default: "
+                    "all tenants pooled)",
+                )
+                parser.add_argument(
+                    "--mix", default=None,
+                    help="observed mix inline: pattern=count pairs, e.g. "
+                    "'***1=50,**11=20' ('*' = unspecified field)",
+                )
+            case "adaptive_search":
+                parser.add_argument(
+                    "--restarts", type=int, default=4,
+                    help="hill-climb restarts (many small fields)",
+                )
+                parser.add_argument(
+                    "--linear-draws", type=int, default=0,
+                    help="also try this many random injective GF(2) "
+                    "matrix assignments",
+                )
+            case "serving":
+                parser.add_argument(
+                    "--max-concurrent", type=int, default=8,
+                    help="requests a service runs at once before queueing",
+                )
+                parser.add_argument(
+                    "--queue-limit", type=int, default=32,
+                    help="waiting requests beyond which admission sheds",
+                )
+                parser.add_argument(
+                    "--deadline", type=float, default=None,
+                    help="per-request deadline in milliseconds",
+                )
+                parser.add_argument(
+                    "--cache-capacity", type=int, default=64,
+                    help="result-cache entries per service",
+                )
+                parser.add_argument(
+                    "--verify", action="store_true",
+                    help="serial-replay every request log; fail on any "
+                    "stale read",
+                )
+            case _:
+                raise ValueError(f"no shared option {name!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="FX declustering for partial match retrieval "
         "(Kim & Pramanik, SIGMOD 1988).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    report = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
+    def add(group, name, func, help, *options, **defaults):
+        """A fresh parser for one command or action, holding *options*."""
+        command = group.add_parser(name, help=help, description=help)
+        _add_options(command, *options)
+        command.set_defaults(func=func, **defaults)
+        return command
+
+    def family(name, help):
+        """A command whose actions are nested subcommands."""
+        return commands.add_parser(
+            name, help=help, description=help
+        ).add_subparsers(dest="action", required=True)
+
+    report = add(commands, "report", _cmd_report, "regenerate EXPERIMENTS.md")
     report.add_argument("--output", default="EXPERIMENTS.md")
     report.add_argument("--no-exact-figures", action="store_true")
     report.add_argument("--stdout", action="store_true")
-    report.set_defaults(func=_cmd_report)
 
-    table = sub.add_parser("table", help="print one of Tables 7-9")
+    table = add(commands, "table", _cmd_table, "print one of Tables 7-9")
     table.add_argument("which", choices=["table7", "table8", "table9"])
-    table.set_defaults(func=_cmd_table)
 
-    figure = sub.add_parser("figure", help="print one of Figures 1-4")
+    figure = add(commands, "figure", _cmd_figure,
+                 "print one of Figures 1-4", "p")
     figure.add_argument(
         "which", choices=["figure1", "figure2", "figure3", "figure4"]
     )
     figure.add_argument("--chart", action="store_true", help="ASCII chart too")
-    figure.add_argument("--p", type=float, default=0.5,
-                        help="per-field specification probability")
-    figure.set_defaults(func=_cmd_figure)
 
-    census = sub.add_parser(
-        "census", help="strict-optimality census of one method"
-    )
-    _add_filesystem_arguments(census)
-    census.add_argument(
-        "--method", default="fx", choices=sorted(available_methods())
-    )
-    census.add_argument(
-        "--transforms", help="fx only: comma-separated families, e.g. I,U,IU1"
-    )
+    census = add(commands, "census", _cmd_census,
+                 "strict-optimality census of one method",
+                 "filesystem", "method", "transforms")
     census.add_argument(
         "--multipliers", help="gdm only: comma-separated multipliers"
     )
@@ -1781,35 +1825,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--failures", type=int, default=5,
         help="how many worst failures to list (0 = none)",
     )
-    census.add_argument(
-        "--parallel", type=int, default=None,
-        help="threads for the pattern sweep (0 = one per CPU)",
-    )
-    census.set_defaults(func=_cmd_census)
 
-    skew = sub.add_parser("skew", help="skew profile of standard methods")
-    _add_filesystem_arguments(skew)
-    skew.add_argument("--p", type=float, default=0.5)
-    skew.set_defaults(func=_cmd_skew)
+    add(commands, "skew", _cmd_skew, "skew profile of standard methods",
+        "filesystem", "p")
 
-    search = sub.add_parser("search", help="search transform assignments")
-    _add_filesystem_arguments(search)
+    search = add(commands, "search", _cmd_search,
+                 "search transform assignments", "filesystem", "seed", "p")
     search.add_argument(
         "--space", choices=["families", "linear"], default="families"
     )
     search.add_argument("--iterations", type=int, default=300,
                         help="linear search draws")
-    search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--p", type=float, default=0.5)
-    search.add_argument(
-        "--parallel", type=int, default=None,
-        help="threads for assignment scoring (0 = one per CPU)",
-    )
-    search.set_defaults(func=_cmd_search)
 
-    design = sub.add_parser(
-        "design", help="optimal directory bits from query statistics"
-    )
+    design = add(commands, "design", _cmd_design,
+                 "optimal directory bits from query statistics")
     design.add_argument(
         "--probabilities",
         required=True,
@@ -1819,254 +1848,118 @@ def build_parser() -> argparse.ArgumentParser:
                         help="total directory bits (log2 of bucket count)")
     design.add_argument("--max-bits", type=int, default=None,
                         help="optional per-field bit cap")
-    design.set_defaults(func=_cmd_design)
 
-    simulate = sub.add_parser(
-        "simulate", help="concurrent workload latency comparison"
-    )
-    _add_filesystem_arguments(simulate)
-    simulate.add_argument("--queries", type=int, default=200)
-    simulate.add_argument("--rate", type=float, default=5.0,
-                          help="Poisson arrival rate (queries/s)")
-    simulate.add_argument("--p", type=float, default=0.5)
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--json", action="store_true",
-        help="emit the full simulation reports as JSON",
-    )
-    simulate.set_defaults(func=_cmd_simulate)
+    add(commands, "simulate", _cmd_simulate,
+        "concurrent workload latency comparison",
+        "filesystem", "queries", "rate", "p", "seed", "json")
 
-    faults = sub.add_parser(
-        "faults", help="fault-tolerant runtime: simulation and availability"
+    faults = family(
+        "faults", "fault-tolerant runtime: simulation and availability"
     )
-    faults.add_argument(
-        "action", choices=["run", "report"],
-        help="run = stream a workload under a fault plan; "
-        "report = availability curves, failover demo and counters",
-    )
-    _add_filesystem_arguments(faults)
-    faults.add_argument(
-        "--method", default="fx",
-        choices=[n for n in method_names() if n != "replicated"],
-        help="base distribution method (run only)",
-    )
-    faults.add_argument(
+    run = add(faults, "run", _cmd_faults_run,
+              "stream a workload under a fault plan",
+              "filesystem", "method", "offset", "fault_plan", "seed",
+              "queries", "rate", "p", "json")
+    run.add_argument(
         "--replicate", action="store_true",
-        help="run only: attach a chained replica scheme for failover",
+        help="attach a chained replica scheme for failover",
     )
-    faults.add_argument(
-        "--offset", type=int, default=1,
-        help="chained replica offset (backup of d is (d+offset) mod M)",
+    availability = add(
+        faults, "report", _cmd_faults_report,
+        "availability curves, failover demo and runtime counters",
+        "filesystem", "offset", "fault_plan", "seed", "queries", "p", "json",
+        fail="0",
     )
-    faults.add_argument(
-        "--fail", default=None,
-        help="comma-separated fail-stop devices, e.g. 0,3 "
-        "(report defaults to 0)",
-    )
-    faults.add_argument(
-        "--error-rate", type=float, default=0.0,
-        help="per-attempt transient read failure probability",
-    )
-    faults.add_argument(
-        "--slow", default=None,
-        help="straggler latency factors as device:factor pairs, "
-        "e.g. 1:2.0,5:4.0",
-    )
-    faults.add_argument("--seed", type=int, default=0)
-    faults.add_argument("--queries", type=int, default=200)
-    faults.add_argument("--rate", type=float, default=5.0,
-                        help="Poisson arrival rate (run only, queries/s)")
-    faults.add_argument("--p", type=float, default=0.5)
-    faults.add_argument("--retries", type=int, default=3,
-                        help="max read attempts per device batch")
-    faults.add_argument("--timeout", type=float, default=None,
-                        help="per-device timeout (modelled ms)")
-    faults.add_argument(
-        "--max-failures", type=int, default=2,
-        help="report only: largest simultaneous failure count k",
-    )
-    faults.add_argument("--json", action="store_true")
-    faults.set_defaults(func=_cmd_faults)
+    availability.add_argument("--max-failures", type=int, default=2,
+                              help="largest simultaneous failure count k")
 
-    recommend = sub.add_parser(
-        "recommend", help="rank declustering methods for a configuration"
-    )
-    _add_filesystem_arguments(recommend)
-    recommend.add_argument("--p", type=float, default=0.5)
-    recommend.set_defaults(func=_cmd_recommend)
+    add(commands, "recommend", _cmd_recommend,
+        "rank declustering methods for a configuration", "filesystem", "p")
 
-    verify = sub.add_parser(
-        "verify", help="cross-check the exact engines on a configuration"
-    )
-    _add_filesystem_arguments(verify)
-    verify.add_argument(
-        "--method", default="fx", choices=["fx", "modulo"]
-    )
+    verify = add(commands, "verify", _cmd_verify,
+                 "cross-check the exact engines on a configuration",
+                 "filesystem")
+    verify.add_argument("--method", default="fx", choices=["fx", "modulo"])
     verify.add_argument(
         "--policy", default="paper", choices=["paper", "theorem9"]
     )
-    verify.set_defaults(func=_cmd_verify)
 
-    obs = sub.add_parser(
-        "obs", help="telemetry: replay a workload, report/export/tail/check"
-    )
-    obs.add_argument(
-        "action", choices=["report", "export", "tail", "check", "slo"],
-        help="report = metrics and latency tables; export = structured "
-        "JSONL; tail = most recent spans; check = verify strict "
-        "optimality from telemetry alone; slo = serve a loopback "
-        "multi-tenant load and report per-tenant error budgets over "
-        "the wire",
-    )
-    _add_filesystem_arguments(obs)
-    obs.add_argument(
-        "--method", default="fx",
-        choices=[n for n in method_names() if n != "replicated"],
-        help="distribution method to replay against",
-    )
-    obs.add_argument(
-        "--trace", default=None,
-        help="replay queries from a trace file instead of a random workload",
-    )
-    obs.add_argument("--queries", type=int, default=50,
-                     help="random workload size when no trace is given")
-    obs.add_argument("--records", type=int, default=64,
-                     help="records inserted before the replay")
-    obs.add_argument("--p", type=float, default=0.5)
-    obs.add_argument("--seed", type=int, default=0)
-    obs.add_argument(
-        "--deterministic-clock", action="store_true",
-        help="inject a manual clock: timestamps (and the export bytes) "
-        "become identical across runs",
-    )
-    obs.add_argument(
-        "--jsonl", default="-",
-        help="export only: output path ('-' = stdout)",
-    )
-    obs.add_argument(
-        "--validate", action="store_true",
-        help="export only: validate every record against the schema",
-    )
-    obs.add_argument("--lines", type=int, default=20,
-                     help="tail only: spans to print")
-    obs.add_argument(
+    obs = family("obs", "telemetry: replay a workload and report, export, "
+                 "tail or check it, or report SLOs over the wire")
+    replay = ("filesystem", "method", "trace", "queries", "p", "seed",
+              "deterministic_clock")
+    add(obs, "report", _cmd_obs_report,
+        "replay, then print the metrics and latency tables",
+        *replay, "records", queries=50)
+    export = add(obs, "export", _cmd_obs_export,
+                 "replay, then write the structured run as JSONL",
+                 *replay, "records", "span_filters", queries=50)
+    export.add_argument("--jsonl", default="-",
+                        help="output path ('-' = stdout)")
+    export.add_argument("--validate", action="store_true",
+                        help="validate every record against the schema")
+    tail = add(obs, "tail", _cmd_obs_tail,
+               "replay, then print the most recent spans",
+               *replay, "records", "span_filters", queries=50)
+    tail.add_argument("--lines", type=int, default=20,
+                      help="spans to print")
+    check = add(obs, "check", _cmd_obs_check,
+                "verify strict optimality from telemetry alone",
+                *replay, queries=50)
+    check.add_argument(
         "--batched", action="store_true",
-        help="check only: replay through the array batch engine and "
-        "audit its query.batch span instead of serial query.execute",
+        help="replay through the array batch engine and audit its "
+        "query.batch span instead of serial query.execute",
     )
-    obs.add_argument(
-        "--tenant", dest="filter_tenant", default=None,
-        help="tail/export only: keep spans attributed to this tenant "
-        "(resolved by walking parent links to the gateway.request span)",
-    )
-    obs.add_argument(
-        "--trace-id", type=lambda s: int(s, 0), default=None,
-        help="tail/export only: keep spans of one trace (decimal or 0x hex)",
-    )
-    obs.add_argument(
-        "--tenants", default="alpha,beta",
-        help="slo only: comma-separated tenant names for the loopback load",
-    )
-    obs.add_argument("--connections", type=int, default=2,
-                     help="slo only: connections per tenant")
-    obs.add_argument("--requests", type=int, default=25,
-                     help="slo only: requests per connection")
-    obs.add_argument("--quota", type=int, default=None,
-                     help="slo only: per-tenant request quota (burns budget)")
-    obs.add_argument(
-        "--json", action="store_true",
-        help="slo only: print the wire SLO snapshot as JSON",
-    )
-    obs.set_defaults(func=_cmd_obs)
+    add(obs, "slo", _cmd_obs_slo,
+        "serve a loopback multi-tenant load and report per-tenant error "
+        "budgets over the wire",
+        "filesystem", "method", "tenants", "connections", "requests",
+        "quota", "records", "p", "seed", "deterministic_clock", "json")
 
-    recover = sub.add_parser(
+    recover = family(
         "recover",
-        help="durability drills: scrub-and-repair, crash replay, rebuild",
+        "durability drills: scrub-and-repair, crash replay, rebuild",
     )
-    recover.add_argument(
-        "action", choices=["scrub", "replay", "rebuild", "report"],
-        help="scrub = corrupt pages then repair from replicas; replay = "
-        "crash at WAL boundaries and verify byte-identical recovery; "
-        "rebuild = lose a device and rebuild it from replicas; report = "
-        "all three plus the durability counters",
-    )
-    _add_filesystem_arguments(recover)
-    recover.add_argument(
-        "--method", default="fx",
-        choices=[n for n in method_names() if n != "replicated"],
-        help="base distribution method under the replica chain",
-    )
-    recover.add_argument("--records", type=int, default=64,
-                         help="seeded records inserted before the drill")
-    recover.add_argument("--seed", type=int, default=0,
-                         help="seed for records, faults, and workloads")
-    recover.add_argument("--offset", type=int, default=1,
-                         help="chained-replica device offset")
-    recover.add_argument(
-        "--corruption-rate", type=float, default=0.05,
-        help="scrub/report: per-page corruption probability",
-    )
-    recover.add_argument(
-        "--crash-after", type=int, default=None,
-        help="replay: crash at this WAL record boundary "
-        "(default: halfway through the workload)",
-    )
-    recover.add_argument(
-        "--all-offsets", action="store_true",
-        help="replay: sweep every boundary 0..N instead of one",
-    )
-    recover.add_argument(
-        "--torn-tail", action="store_true",
-        help="replay: leave half a frame behind at the crash point",
-    )
-    recover.add_argument("--lose", type=int, default=0,
-                         help="rebuild: device to wipe and reconstruct")
-    recover.add_argument(
-        "--queries", type=int, default=20,
-        help="rebuild: workload size for the post-rebuild optimality "
-        "check (0 skips it)",
-    )
-    recover.add_argument("--p", type=float, default=0.5,
-                         help="rebuild: per-field specification probability")
-    recover.add_argument(
-        "--deterministic-clock", action="store_true",
-        help="inject a manual clock so span timings are reproducible",
-    )
-    recover.add_argument("--json", action="store_true",
-                         help="emit machine-readable JSON instead of tables")
-    recover.set_defaults(func=_cmd_recover)
+    drill = ("filesystem", "method", "records", "seed", "offset",
+             "deterministic_clock", "json")
+    scrub = ("corruption_rate",)
+    crash = ("crash_points", "torn_tail")
+    rebuild = ("lose", "queries", "p")
+    add(recover, "scrub", _cmd_recover_scrub,
+        "corrupt pages, then repair them from replicas", *drill, *scrub)
+    add(recover, "replay", _cmd_recover_replay,
+        "crash at WAL boundaries and verify byte-identical recovery",
+        *drill, *crash)
+    add(recover, "rebuild", _cmd_recover_rebuild,
+        "lose a device, rebuild it from replicas and re-verify optimality "
+        "(--queries 0 skips the check)", *drill, *rebuild, queries=20)
+    add(recover, "report", _cmd_recover_report,
+        "all three drills plus the durability counters",
+        *drill, *scrub, *crash, *rebuild, queries=20)
 
-    serve = sub.add_parser(
-        "serve",
-        parents=[_serving_parser()],
-        help="drive the concurrent serving tier with a closed-loop load",
-    )
-    serve.add_argument("--records", type=int, default=64,
-                       help="seeded records loaded before the run")
+    serving = ("filesystem", "method", "seed", "p", "requests",
+               "write_every", "serving", "json")
+    serve = add(commands, "serve", _cmd_serve,
+                "drive the concurrent serving tier with a closed-loop load",
+                *serving, "records", requests=50)
     serve.add_argument("--clients", type=int, default=8,
                        help="closed-loop client threads")
     serve.add_argument(
-        "--hot-fraction", type=float, default=0.5, dest="hot_fraction",
+        "--hot-fraction", type=float, default=0.5,
         help="fraction of queries drawn from a small shared hot pool",
     )
     serve.add_argument(
-        "--allow-degraded", action="store_true", dest="allow_degraded",
+        "--allow-degraded", action="store_true",
         help="exit 0 even when requests were shed or timed out "
              "(default: degraded runs fail with a structured error)",
     )
-    serve.set_defaults(func=_cmd_serve, requests=50, write_every=0)
 
-    gateway = sub.add_parser(
-        "gateway",
-        parents=[_serving_parser()],
-        help="serve multiple tenants over TCP and drive a loopback load",
-    )
-    gateway.add_argument(
-        "--tenants", default="alpha,beta",
-        help="comma-separated tenant namespace names",
-    )
-    gateway.add_argument("--host", default="127.0.0.1",
-                         help="bind address")
+    gateway = add(commands, "gateway", _cmd_gateway,
+                  "serve multiple tenants over TCP and drive a loopback load",
+                  *serving, "tenants", "connections", "batch_every",
+                  "preload", "quota", connections=4, write_every=5)
+    gateway.add_argument("--host", default="127.0.0.1", help="bind address")
     gateway.add_argument("--port", type=int, default=0,
                          help="bind port (0 picks a free one)")
     gateway.add_argument(
@@ -2074,166 +1967,73 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve until interrupted instead of driving a loopback load",
     )
     gateway.add_argument(
-        "--connections", type=int, default=4,
-        help="loopback connections per tenant",
-    )
-    gateway.add_argument(
-        "--batch-every", type=int, default=0, dest="batch_every",
-        help="every k-th op is a multi-query batch frame (0 = never)",
-    )
-    gateway.add_argument(
-        "--preload", type=int, default=16,
-        help="records inserted per tenant before the timed run",
-    )
-    gateway.add_argument(
-        "--quota", type=int, default=None,
-        help="per-tenant lifetime request quota (default: unlimited)",
-    )
-    gateway.add_argument(
         "--rate", type=float, default=None,
         help="per-tenant token-bucket refill rate, requests/s",
     )
     gateway.add_argument("--burst", type=int, default=8,
                          help="token-bucket burst size")
+    gateway.add_argument("--max-inflight", type=int, default=None,
+                         help="per-tenant concurrent-request cap")
     gateway.add_argument(
-        "--max-inflight", type=int, default=None, dest="max_inflight",
-        help="per-tenant concurrent-request cap",
-    )
-    gateway.add_argument(
-        "--max-connections", type=int, default=32, dest="max_connections",
+        "--max-connections", type=int, default=32,
         help="total connections accepted before busy-rejecting",
     )
     gateway.add_argument(
-        "--export-jsonl", default=None, dest="export_jsonl",
+        "--export-jsonl", default=None,
         help="after the load, write the telemetry stream (propagated "
         "traces included) as canonical JSONL to this path",
     )
-    gateway.set_defaults(func=_cmd_gateway, requests=25, write_every=5)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="inject deterministic wire faults + a crash-restart and "
-        "prove zero stale reads / exactly-once acked writes",
-    )
-    _add_filesystem_arguments(chaos)
+    chaos = add(commands, "chaos", _cmd_chaos,
+                "inject deterministic wire faults + a crash-restart and "
+                "prove zero stale reads / exactly-once acked writes",
+                "filesystem", "method", "tenants", "connections", "requests",
+                "seed", "p", "write_every", "batch_every", "preload",
+                "torn_tail", "json", requests=16, write_every=3, preload=4)
     chaos.add_argument(
-        "--method", default="fx", choices=list(method_names()),
-        help="distribution method for every tenant's file",
-    )
-    chaos.add_argument(
-        "--tenants", default="alpha,beta",
-        help="comma-separated tenant namespace names",
-    )
-    chaos.add_argument("--connections", type=int, default=2,
-                       help="chaos clients (fault endpoints) per tenant")
-    chaos.add_argument("--requests", type=int, default=16,
-                       help="ops issued by each client")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="seed for op logs AND the fault schedule")
-    chaos.add_argument("--p", type=float, default=0.5,
-                       help="per-field specification probability")
-    chaos.add_argument(
-        "--write-every", type=int, default=3, dest="write_every",
-        help="every k-th op of a client is an insert (0 = read-only)",
-    )
-    chaos.add_argument(
-        "--batch-every", type=int, default=0, dest="batch_every",
-        help="every k-th op is a multi-query batch frame (0 = never)",
-    )
-    chaos.add_argument(
-        "--preload", type=int, default=4,
-        help="records written per tenant before chaos starts",
-    )
-    chaos.add_argument(
-        "--fault-rate", type=float, default=0.05, dest="fault_rate",
+        "--fault-rate", type=float, default=0.05,
         help="per-exchange rate of EACH fault kind (reset/tear/dup/delay)",
     )
     chaos.add_argument(
-        "--refuse-rate", type=float, default=None, dest="refuse_rate",
+        "--refuse-rate", type=float, default=None,
         help="per-connection refusal rate (default: --fault-rate)",
     )
     chaos.add_argument(
-        "--delay-ms", type=float, default=5.0, dest="delay_ms",
+        "--delay-ms", type=float, default=5.0,
         help="how long a delay fault holds a response back",
     )
     chaos.add_argument(
-        "--crash-at", type=float, default=0.5, dest="crash_at",
+        "--crash-at", type=float, default=0.5,
         help="crash-restart the gateway after this fraction of each "
         "client's ops",
     )
-    chaos.add_argument(
-        "--no-crash", action="store_true", dest="no_crash",
-        help="skip the crash-restart (wire faults only)",
-    )
-    chaos.add_argument(
-        "--torn-tail", action="store_true", dest="torn_tail",
-        help="shear the final WAL frame in half at the crash",
-    )
+    chaos.add_argument("--no-crash", action="store_true",
+                       help="skip the crash-restart (wire faults only)")
     chaos.add_argument("--timeout", type=float, default=10.0,
                        help="socket deadline of each client attempt (s)")
-    chaos.add_argument(
-        "--max-attempts", type=int, default=6, dest="max_attempts",
-        help="retry budget per logical request",
-    )
-    chaos.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON instead of tables")
-    chaos.set_defaults(func=_cmd_chaos)
+    chaos.add_argument("--max-attempts", type=int, default=6,
+                       help="retry budget per logical request")
 
-    adapt = sub.add_parser(
+    adapt = family(
         "adapt",
-        help="workload-adaptive declustering: score the deployed "
-        "assignment against an observed mix, search for a better one, "
-        "or hot-swap onto it crash-safely",
+        "workload-adaptive declustering: score the deployed assignment "
+        "against an observed mix, search for a better one, or hot-swap "
+        "onto it crash-safely",
     )
-    adapt.add_argument(
-        "action", choices=["score", "plan", "apply"],
-        help="score = mix-weighted load factor of the deployed "
-        "assignment and the gap to the lower bound; plan = search for a "
-        "better assignment (rc 1 if none); apply = plan, migrate a "
-        "durable file through the WAL-audited path, and re-verify "
-        "optimality from telemetry (rc 1 unless verified)",
-    )
-    _add_filesystem_arguments(adapt)
-    adapt.add_argument(
-        "--profile", default=None,
-        help="observed mix: a query-mix profile JSON or an 'obs export' "
-        "JSONL file (offline feed — no new wire op)",
-    )
-    adapt.add_argument(
-        "--tenant", default=None,
-        help="profile only: adapt to this tenant's mix (default: all "
-        "tenants pooled)",
-    )
-    adapt.add_argument(
-        "--mix", default=None,
-        help="observed mix inline: pattern=count pairs, e.g. "
-        "'***1=50,**11=20' ('*' = unspecified field)",
-    )
-    adapt.add_argument(
-        "--transforms", default=None,
-        help="deployed assignment as comma-separated family names "
-        "(default: the uniform-optimal assignment found by search)",
-    )
-    adapt.add_argument("--seed", type=int, default=0,
-                       help="seed for search restarts, linear draws and "
-                       "the apply workload")
-    adapt.add_argument("--restarts", type=int, default=4,
-                       help="hill-climb restarts (many small fields)")
-    adapt.add_argument(
-        "--linear-draws", type=int, default=0, dest="linear_draws",
-        help="also try this many random injective GF(2) matrix "
-        "assignments",
-    )
-    adapt.add_argument("--parallel", type=int, default=None,
-                       help="threads for the baseline search (0 = one "
-                       "per CPU)")
-    adapt.add_argument("--records", type=int, default=128,
-                       help="apply only: records inserted before the swap")
-    adapt.add_argument("--force", action="store_true",
-                       help="apply only: swap even without improvement")
-    adapt.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON")
-    adapt.set_defaults(func=_cmd_adapt)
+    observed = ("filesystem", "mix", "transforms", "seed", "json")
+    add(adapt, "score", _cmd_adapt_score,
+        "mix-weighted load factor of the deployed assignment and the gap "
+        "to the lower bound", *observed)
+    add(adapt, "plan", _cmd_adapt_plan,
+        "search for a better assignment (rc 1 if none)",
+        *observed, "adaptive_search")
+    apply = add(adapt, "apply", _cmd_adapt_apply,
+                "plan, migrate a durable file through the WAL-audited path "
+                "and re-verify optimality from telemetry (rc 1 unless "
+                "verified)", *observed, "adaptive_search", "records",
+                records=128)
+    apply.add_argument("--force", action="store_true",
+                       help="swap even without improvement")
 
     return parser
 

@@ -88,43 +88,23 @@ def is_k_optimal(
     method: DistributionMethod,
     k: int,
     work_limit: int = DEFAULT_WORK_LIMIT,
-    parallel: int | None = None,
 ) -> bool:
-    """The paper's k-optimality: strict optimal for all k-unspecified queries.
-
-    *parallel* fans the per-pattern checks over a thread pool
-    (:func:`repro.perf.parallel.parallel_map`); the verdict is identical to
-    serial evaluation, the patterns are just checked concurrently.
-    """
-    from repro.perf.parallel import parallel_map
-
+    """The paper's k-optimality: all k-unspecified queries strict optimal."""
+    patterns = patterns_with_k_unspecified(method.filesystem.n_fields, k)
     return all(
-        parallel_map(
-            lambda pattern: pattern_is_strict_optimal(
-                method, pattern, work_limit=work_limit
-            ),
-            patterns_with_k_unspecified(method.filesystem.n_fields, k),
-            parallel=parallel,
-        )
+        pattern_is_strict_optimal(method, pattern, work_limit=work_limit)
+        for pattern in patterns
     )
 
 
 def is_perfect_optimal(
     method: DistributionMethod,
     work_limit: int = DEFAULT_WORK_LIMIT,
-    parallel: int | None = None,
 ) -> bool:
     """Perfect optimality: k-optimal for every k in 0..n."""
-    from repro.perf.parallel import parallel_map
-
     return all(
-        parallel_map(
-            lambda pattern: pattern_is_strict_optimal(
-                method, pattern, work_limit=work_limit
-            ),
-            all_patterns(method.filesystem.n_fields),
-            parallel=parallel,
-        )
+        pattern_is_strict_optimal(method, pattern, work_limit=work_limit)
+        for pattern in all_patterns(method.filesystem.n_fields)
     )
 
 
@@ -160,19 +140,12 @@ def optimality_report(
     method: DistributionMethod,
     patterns: Iterable[SpecPattern] | None = None,
     work_limit: int = DEFAULT_WORK_LIMIT,
-    parallel: int | None = None,
 ) -> OptimalityReport:
     """Census strict optimality over *patterns* (default: all ``2**n``).
 
     For separable methods records the exact worst load per failing pattern;
     for others the worst load across the pattern's queries.
-
-    *parallel* spreads the per-pattern worst-load evaluation over a thread
-    pool; results come back in input order and are folded serially, so the
-    report (counts, failure list, ordering) is byte-identical to serial.
     """
-    from repro.perf.parallel import parallel_map
-
     fs = method.filesystem
     report = OptimalityReport(
         method_name=method.name or type(method).__name__,
@@ -206,8 +179,8 @@ def optimality_report(
         patterns=len(patterns),
         separable=separable,
     ) as span:
-        worsts = parallel_map(worst_load, patterns, parallel=parallel)
-        for pattern, worst in zip(patterns, worsts):
+        for pattern in patterns:
+            worst = worst_load(pattern)
             report.total_patterns += 1
             qualified = math.prod(fs.field_sizes[i] for i in pattern)
             bound = ceil_div(qualified, fs.m)

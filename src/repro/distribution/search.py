@@ -79,17 +79,13 @@ def _full_assignment(
 
 
 def exhaustive_assignment_search(
-    filesystem: FileSystem, p: float = 0.5, parallel: int | None = None
+    filesystem: FileSystem, p: float = 0.5
 ) -> AssignmentSearchResult:
     """Score every family assignment of the small fields; return the best.
 
     Ties break toward the first assignment in lexicographic order, which
-    keeps results deterministic.  *parallel* scores assignments over a
-    thread pool; the incumbent fold stays serial and in lexicographic
-    order, so the result and its history are identical to serial search.
+    keeps results deterministic.
     """
-    from repro.perf.parallel import parallel_map
-
     small = filesystem.small_fields()
     if len(small) > MAX_EXHAUSTIVE_SMALL_FIELDS:
         raise ConfigurationError(
@@ -107,16 +103,12 @@ def exhaustive_assignment_search(
         filesystem=filesystem.describe(),
         assignments=len(combos),
     ) as span:
-        scores = parallel_map(
-            lambda methods: assignment_score(filesystem, methods, p=p),
-            combos,
-            parallel=parallel,
-        )
         best_methods: tuple[str, ...] | None = None
         best_score = -1.0
         evaluations = 0
         history: list[tuple[int, float]] = []
-        for methods, score in zip(combos, scores):
+        for methods in combos:
+            score = assignment_score(filesystem, methods, p=p)
             evaluations += 1
             if score > best_score:
                 best_score = score
@@ -138,21 +130,13 @@ def hill_climb_assignment_search(
     p: float = 0.5,
     restarts: int = 4,
     seed: int = 0,
-    parallel: int | None = None,
 ) -> AssignmentSearchResult:
     """Steepest-ascent hill climbing over single-field family changes.
 
     Each restart begins from a random assignment (the first restart from the
     paper's round-robin, so the search never does worse than the paper) and
     moves to the best single-field change until no change improves.
-
-    *parallel* scores each sweep's neighbourhood over a thread pool.  The
-    incumbent/history bookkeeping replays the scores in the serial
-    (position, family) order, so the result is identical to serial search —
-    the neighbourhood is just evaluated concurrently.
     """
-    from repro.perf.parallel import parallel_map
-
     small = filesystem.small_fields()
     if not small:
         methods = _full_assignment(filesystem, ())
@@ -171,13 +155,10 @@ def hill_climb_assignment_search(
     evaluations = 0
     history: list[tuple[int, float]] = []
 
-    def consider(
-        small_methods: tuple[str, ...], score: float | None = None
-    ) -> float:
+    def consider(small_methods: tuple[str, ...]) -> float:
         nonlocal evaluations, best_methods, best_score
         methods = _full_assignment(filesystem, small_methods)
-        if score is None:
-            score = assignment_score(filesystem, methods, p=p)
+        score = assignment_score(filesystem, methods, p=p)
         evaluations += 1
         if score > best_score:
             best_score = score
@@ -213,16 +194,8 @@ def hill_climb_assignment_search(
                 improved = False
                 best_neighbour = current
                 best_neighbour_score = current_score
-                neighbours = neighbourhood(current)
-                scores = parallel_map(
-                    lambda n: assignment_score(
-                        filesystem, _full_assignment(filesystem, n), p=p
-                    ),
-                    neighbours,
-                    parallel=parallel,
-                )
-                for neighbour, precomputed in zip(neighbours, scores):
-                    score = consider(neighbour, score=precomputed)
+                for neighbour in neighbourhood(current):
+                    score = consider(neighbour)
                     if score > best_neighbour_score:
                         best_neighbour = neighbour
                         best_neighbour_score = score

@@ -1,6 +1,6 @@
 """Query-mix profiler: per-tenant pattern frequencies from exported spans.
 
-ROADMAP item 3 (workload-adaptive declustering) needs the *observed*
+Workload-adaptive declustering (DESIGN §4l) needs the *observed*
 query-pattern distribution — how often each partial-match pattern (which
 fields are specified) is actually asked, per tenant — so candidate
 transforms can be scored against the real mix rather than the uniform

@@ -8,11 +8,12 @@ primitive the engine hot paths use::
         span.add_event("device", device=3, buckets=8)
         span.set_attr("largest_response", 8)
 
-Spans nest through a :class:`contextvars.ContextVar`, so concurrent threads
-(the parallel sweeps) each see their own ancestry.  A finished span is
-appended to the telemetry :class:`~repro.obs.events.EventLog` as one
-structured record and its duration is observed into the
-``span.<name>.ms`` latency histogram of the metrics registry.
+Spans nest through a :class:`contextvars.ContextVar`, so concurrent
+threads (the gateway's connection threads) each see their own ancestry.
+A finished span is appended to the telemetry
+:class:`~repro.obs.events.EventLog` as one structured record and its
+duration is observed into the ``span.<name>.ms`` latency histogram of
+the metrics registry.
 
 Every span belongs to a **trace**: a 64-bit id shared by a whole request
 tree, even when that tree crosses a process boundary.  A root span (no

@@ -20,8 +20,6 @@ so two runs of the same scenario produce byte-identical
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.distribution.base import DistributionMethod
 from repro.distribution.replicated import ChainedReplicaScheme
 from repro.errors import ConfigurationError
@@ -29,10 +27,9 @@ from repro.obs.metrics import default_registry
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.retry import RetryPolicy
 from repro.storage.costs import DeviceCostModel
-from repro.storage.simulator import (
+from repro.storage.simulator import (  # noqa: F401 (QueryArrival: doctest)
     ParallelQuerySimulator,
     QueryArrival,
-    SimulatedQuery,
     SimulationReport,
 )
 
@@ -41,6 +38,10 @@ __all__ = ["FaultAwareQuerySimulator"]
 
 class FaultAwareQuerySimulator(ParallelQuerySimulator):
     """FIFO per-device simulation of a query stream under injected faults.
+
+    The stream loop is :meth:`ParallelQuerySimulator.run`'s; this class
+    supplies its fault routing, its per-device retry/timeout episode, its
+    span and its counters.
 
     Pass a :class:`~repro.distribution.replicated.ChainedReplicaScheme`
     built over the *same* method to enable failover routing; without one,
@@ -56,6 +57,8 @@ class FaultAwareQuerySimulator(ParallelQuerySimulator):
     >>> report.queries[0].completeness
     0.75
     """
+
+    span_name = "simulate.faulty_run"
 
     def __init__(
         self,
@@ -74,86 +77,12 @@ class FaultAwareQuerySimulator(ParallelQuerySimulator):
                 "(its primary placement decides the routing)"
             )
         self.scheme = scheme
+        self.failed_devices = tuple(sorted(self.plan.failed_devices))
         speed_factors = [
             1.0 / self.injector.latency_factor(d)
             for d in range(method.filesystem.m)
         ]
         super().__init__(method, cost_model=cost_model, speed_factors=speed_factors)
-
-    def run(self, arrivals: Iterable[QueryArrival]) -> SimulationReport:
-        """Process *arrivals* to completion under the fault plan."""
-        from repro.obs import telemetry, trace_span
-
-        ordered = sorted(arrivals, key=lambda a: a.arrival_ms)
-        m = self.method.filesystem.m
-        device_free_at = [0.0] * m
-        device_busy = [0.0] * m
-        report = SimulationReport(
-            device_busy_ms=[0.0] * m,
-            failed_devices=tuple(sorted(self.plan.failed_devices)),
-        )
-
-        with trace_span(
-            "simulate.faulty_run",
-            method=self.method.name or type(self.method).__name__,
-            queries=len(ordered),
-            plan=self.plan.describe(),
-        ) as span:
-            self._run_faulty_stream(
-                ordered, device_free_at, device_busy, report
-            )
-            span.set_attr("makespan_ms", round(report.makespan_ms, 6))
-            span.set_attr("failovers", report.failovers)
-            span.set_attr("lost_buckets", report.lost_buckets)
-            span.set_attr(
-                "mean_completeness", round(report.mean_completeness, 6)
-            )
-        metrics = telemetry().metrics
-        for simulated in report.queries:
-            metrics.observe("simulate.latency_ms", simulated.latency_ms)
-            metrics.observe("runtime.completeness", simulated.completeness)
-        self._record_counters(report)
-        return report
-
-    def _run_faulty_stream(
-        self, ordered, device_free_at, device_busy, report
-    ) -> None:
-        for query_index, arrival in enumerate(ordered):
-            if arrival.arrival_ms < 0:
-                raise ConfigurationError("arrival times must be non-negative")
-            histogram = self._histogram_of(arrival.query)
-            qualified = sum(histogram)
-            tasks, lost = self._route_tasks(histogram, report)
-            completion = arrival.arrival_ms
-            idle_service = 0.0
-            for device, bucket_count in enumerate(tasks):
-                if bucket_count == 0:
-                    continue
-                busy, served = self._device_episode(
-                    device, bucket_count, query_index, report
-                )
-                if not served:
-                    lost += bucket_count
-                idle_service = max(idle_service, busy)
-                start = max(arrival.arrival_ms, device_free_at[device])
-                finish = start + busy
-                device_free_at[device] = finish
-                device_busy[device] += busy
-                completion = max(completion, finish)
-            report.lost_buckets += lost
-            report.queries.append(
-                SimulatedQuery(
-                    arrival_ms=arrival.arrival_ms,
-                    completion_ms=completion,
-                    service_ms=idle_service,
-                    largest_response=max(tasks, default=0),
-                    completeness=(
-                        1.0 - lost / qualified if qualified else 1.0
-                    ),
-                )
-            )
-            report.makespan_ms = max(report.makespan_ms, completion)
-        report.device_busy_ms = device_busy
 
     # ------------------------------------------------------------------
     # Fault mechanics
@@ -215,7 +144,22 @@ class FaultAwareQuerySimulator(ParallelQuerySimulator):
             return None
         return backup
 
+    def _span_attrs(self, report: SimulationReport) -> dict:
+        return {
+            "plan": self.plan.describe(),
+            "makespan_ms": round(report.makespan_ms, 6),
+            "failovers": report.failovers,
+            "lost_buckets": report.lost_buckets,
+            "mean_completeness": round(report.mean_completeness, 6),
+        }
+
     def _record_counters(self, report: SimulationReport) -> None:
+        from repro.obs import telemetry
+
+        super()._record_counters(report)
+        metrics = telemetry().metrics
+        for simulated in report.queries:
+            metrics.observe("runtime.completeness", simulated.completeness)
         record = default_registry().record_perf_work
         record("runtime.sim.queries", len(report.queries))
         if report.retries:

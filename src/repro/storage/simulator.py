@@ -161,6 +161,11 @@ class ParallelQuerySimulator:
     2
     """
 
+    #: Name of the span around one :meth:`run`.
+    span_name = "simulate.run"
+    #: Fail-stopped devices, reported on every run's report.
+    failed_devices: tuple[int, ...] = ()
+
     def __init__(
         self,
         method: DistributionMethod,
@@ -182,61 +187,98 @@ class ParallelQuerySimulator:
 
     def run(self, arrivals: Iterable[QueryArrival]) -> SimulationReport:
         """Process *arrivals* (sorted by time internally) to completion."""
-        from repro.obs import telemetry, trace_span
+        from repro.obs import trace_span
 
         ordered = sorted(arrivals, key=lambda a: a.arrival_ms)
         m = self.method.filesystem.m
         device_free_at = [0.0] * m
         device_busy = [0.0] * m
-        report = SimulationReport(device_busy_ms=[0.0] * m)
+        report = SimulationReport(failed_devices=self.failed_devices)
 
         with trace_span(
-            "simulate.run",
+            self.span_name,
             method=self.method.name or type(self.method).__name__,
             queries=len(ordered),
         ) as span:
-            self._run_stream(ordered, device_free_at, device_busy, report)
-            span.set_attr("makespan_ms", round(report.makespan_ms, 6))
-            span.set_attr(
-                "mean_latency_ms", round(report.mean_latency_ms, 6)
-            )
+            for query_index, arrival in enumerate(ordered):
+                if arrival.arrival_ms < 0:
+                    raise ConfigurationError(
+                        "arrival times must be non-negative"
+                    )
+                histogram = self._histogram_of(arrival.query)
+                tasks, lost = self._route_tasks(histogram, report)
+                completion = arrival.arrival_ms
+                idle_service = 0.0
+                for device, bucket_count in enumerate(tasks):
+                    if bucket_count == 0:
+                        continue
+                    busy, served = self._device_episode(
+                        device, bucket_count, query_index, report
+                    )
+                    if not served:
+                        lost += bucket_count
+                    idle_service = max(idle_service, busy)
+                    start = max(arrival.arrival_ms, device_free_at[device])
+                    finish = start + busy
+                    device_free_at[device] = finish
+                    device_busy[device] += busy
+                    completion = max(completion, finish)
+                qualified = sum(histogram)
+                report.lost_buckets += lost
+                report.queries.append(
+                    SimulatedQuery(
+                        arrival_ms=arrival.arrival_ms,
+                        completion_ms=completion,
+                        service_ms=idle_service,
+                        largest_response=max(tasks, default=0),
+                        completeness=(
+                            1.0 - lost / qualified if qualified else 1.0
+                        ),
+                    )
+                )
+                report.makespan_ms = max(report.makespan_ms, completion)
+            report.device_busy_ms = device_busy
+            for name, value in self._span_attrs(report).items():
+                span.set_attr(name, value)
+        self._record_counters(report)
+        return report
+
+    # ------------------------------------------------------------------
+    # The steps a fault-aware subclass replaces
+    # ------------------------------------------------------------------
+    def _route_tasks(
+        self, histogram: list[int], report: SimulationReport
+    ) -> tuple[list[int], int]:
+        """(per-device task sizes, buckets lost before dispatch)."""
+        return histogram, 0
+
+    def _device_episode(
+        self,
+        device: int,
+        bucket_count: int,
+        query_index: int,
+        report: SimulationReport,
+    ) -> tuple[float, bool]:
+        """(busy time, batch served?) for one device's share of one query."""
+        return (
+            self.cost_model.service_time(bucket_count)
+            / self.speed_factors[device],
+            True,
+        )
+
+    def _span_attrs(self, report: SimulationReport) -> dict:
+        """Attributes the run span closes with."""
+        return {
+            "makespan_ms": round(report.makespan_ms, 6),
+            "mean_latency_ms": round(report.mean_latency_ms, 6),
+        }
+
+    def _record_counters(self, report: SimulationReport) -> None:
+        from repro.obs import telemetry
+
         metrics = telemetry().metrics
         for simulated in report.queries:
             metrics.observe("simulate.latency_ms", simulated.latency_ms)
-        return report
-
-    def _run_stream(
-        self, ordered, device_free_at, device_busy, report
-    ) -> None:
-        for arrival in ordered:
-            if arrival.arrival_ms < 0:
-                raise ConfigurationError("arrival times must be non-negative")
-            histogram = self._histogram_of(arrival.query)
-            completion = arrival.arrival_ms
-            idle_service = 0.0
-            for device, bucket_count in enumerate(histogram):
-                if bucket_count == 0:
-                    continue
-                service = (
-                    self.cost_model.service_time(bucket_count)
-                    / self.speed_factors[device]
-                )
-                idle_service = max(idle_service, service)
-                start = max(arrival.arrival_ms, device_free_at[device])
-                finish = start + service
-                device_free_at[device] = finish
-                device_busy[device] += service
-                completion = max(completion, finish)
-            report.queries.append(
-                SimulatedQuery(
-                    arrival_ms=arrival.arrival_ms,
-                    completion_ms=completion,
-                    service_ms=idle_service,
-                    largest_response=max(histogram, default=0),
-                )
-            )
-            report.makespan_ms = max(report.makespan_ms, completion)
-        report.device_busy_ms = device_busy
 
     def _histogram_of(self, query) -> list[int]:
         """Per-device load of one workload element (partial match or box)."""

@@ -1,8 +1,14 @@
 """Tests for the command-line interface (python -m repro)."""
 
+import pathlib
+import re
+import shlex
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestTableCommand:
@@ -160,18 +166,58 @@ class TestRecommendCommand:
         assert "Modulo".lower() in out.lower()
 
 
-class TestParallelFlags:
-    def test_census_parallel_matches_serial(self, capsys):
-        args = ["census", "--fields", "4,4", "--devices", "16",
-                "--method", "modulo"]
-        main(args)
-        serial_out = capsys.readouterr().out
-        main([*args, "--parallel", "4"])
-        assert capsys.readouterr().out == serial_out
+class TestActionsAcceptOnlyTheirFlags:
+    """Each action parses only the options its handler reads, so a flag
+    meant for a sibling action is a usage error, not silently ignored."""
 
-    def test_search_parallel_matches_serial(self, capsys):
-        args = ["search", "--fields", "4,4", "--devices", "16"]
-        main(args)
-        serial_out = capsys.readouterr().out
-        main([*args, "--parallel", "2"])
-        assert capsys.readouterr().out == serial_out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "faults run --max-failures 3",
+            "faults report --rate 9",
+            "obs report --json",
+            "obs export --batched",
+            "obs tail --quota 5",
+            "obs check --records 10",
+            "obs slo --trace t.txt",
+            "recover scrub --lose 2",
+            "recover replay --corruption-rate 0.1",
+            "recover rebuild --all-offsets",
+            "adapt score --force",
+            "adapt plan --records 10",
+        ],
+    )
+    def test_sibling_action_flag_rejected(self, argv, capsys):
+        command, action, *flag = argv.split()
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                [command, action, "--fields", "4,4", "--devices", "4", *flag]
+            )
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def _documented_commands() -> list[str]:
+    """Every ``python -m repro`` command in the fenced blocks of the
+    README and the usage guide, continuation lines joined."""
+    commands = []
+    for doc in ("README.md", "docs/usage.md"):
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        for block in re.findall(r"```[^\n]*\n(.*?)```", text, re.S):
+            for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+                match = re.search(r"python3? -m repro (.*)", line)
+                if match:
+                    argv = shlex.split(match.group(1), comments=True)
+                    if ">" in argv:
+                        argv = argv[: argv.index(">")]
+                    commands.append(shlex.join(argv))
+    return commands
+
+
+class TestDocumentedCommands:
+    def test_docs_show_commands(self):
+        assert len(_documented_commands()) >= 20
+
+    @pytest.mark.parametrize("command", _documented_commands())
+    def test_documented_command_parses(self, command):
+        build_parser().parse_args(shlex.split(command))

@@ -814,6 +814,17 @@ class TestMakeGateway:
                 devices=DEVICES,
             )
 
+    @pytest.mark.parametrize("method", ["nope", "replicated"])
+    def test_rejects_unservable_methods_eagerly(self, method):
+        """An unknown name, or one that builds no distribution method,
+        fails the build instead of bouncing every request."""
+        with pytest.raises(ConfigurationError, match=f"'b'.*{method}"):
+            make_gateway(
+                {"a": {}, "b": {"method": method}},
+                fields=FIELDS,
+                devices=DEVICES,
+            )
+
     def test_rejects_zero_cache_capacity_eagerly(self):
         with pytest.raises(ConfigurationError, match="'c'.*cache_capacity"):
             make_gateway(
@@ -983,3 +994,34 @@ class TestCli:
         assert rc == 0  # quota sheds are expected behaviour, not failures
         data = json.loads(captured.out)
         assert data["rejections"]["solo"]["shed"] == 2
+
+    def test_gateway_cli_fails_on_internal_errors(self, capsys, monkeypatch):
+        """Only the tenant gate's shed and rate_limited replies are
+        tolerated; a read that fails server-side fails the run."""
+        from repro.service import QueryService
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("storage exploded")
+
+        monkeypatch.setattr(QueryService, "execute", broken)
+        rc = main(
+            ["gateway", "--fields", "4,4", "--devices", "4",
+             "--tenants", "a", "--connections", "1", "--requests", "6",
+             "--write-every", "3", "--preload", "2", "--verify", "--json"]
+        )
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["rejections"] == {"a": {"internal": 4}}
+        assert rc == 1
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == "gateway_load_failed"
+        assert error["rejection_codes"] == ["internal"]
+
+    @pytest.mark.parametrize("command", ["serve", "gateway", "chaos"])
+    def test_replica_scheme_method_rejected_at_parse_time(
+        self, command, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--fields", "4,4", "--devices", "4",
+                  "--method", "replicated"])
+        assert exit_info.value.code == 2
+        assert "--method" in capsys.readouterr().err

@@ -1,5 +1,5 @@
-"""Tests for the perf package (memoisation, parallel map) and the perf
-counters its caches record into the metrics registry."""
+"""Tests for the perf package (memoisation) and the perf counters its
+caches record into the metrics registry."""
 
 import pytest
 
@@ -9,12 +9,7 @@ from repro.core.fx import FXDistribution
 from repro.distribution.modulo import ModuloDistribution
 from repro.hashing.fields import FileSystem
 from repro.obs.metrics import default_registry
-from repro.perf import (
-    method_signature,
-    parallel_map,
-    resolve_workers,
-    shared_evaluator,
-)
+from repro.perf import method_signature, shared_evaluator
 from repro.perf.memo import LRUCache, clear_memo
 
 REGISTRY = default_registry()
@@ -149,30 +144,3 @@ class TestEvaluatorMemoisation:
         for bucket in fs.buckets():
             counts[modulo.device_of(bucket)] += 1
         assert query_histogram == counts
-
-
-class TestParallelMap:
-    def test_resolve_workers(self):
-        assert resolve_workers(None) == 1
-        assert resolve_workers(1) == 1
-        assert resolve_workers(5) == 5
-        assert resolve_workers(0) >= 1
-        assert resolve_workers(-1) >= 1
-
-    def test_order_preserved(self):
-        items = list(range(40))
-        assert parallel_map(lambda x: x * x, items, parallel=4) == [
-            x * x for x in items
-        ]
-
-    def test_serial_path_for_single_item(self):
-        assert parallel_map(lambda x: x + 1, [41], parallel=8) == [42]
-
-    def test_exceptions_propagate(self):
-        def boom(x):
-            if x == 3:
-                raise ValueError("boom")
-            return x
-
-        with pytest.raises(ValueError):
-            parallel_map(boom, range(6), parallel=3)

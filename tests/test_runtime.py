@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import make_method
 from repro.core.fx import FXDistribution
 from repro.distribution.replicated import ChainedReplicaScheme
 from repro.errors import ConfigurationError
@@ -18,7 +19,7 @@ from repro.runtime import (
 from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
 from repro.storage.replicated_file import ReplicatedFile
-from repro.storage.simulator import poisson_arrivals
+from repro.storage.simulator import ParallelQuerySimulator, poisson_arrivals
 
 FS = FileSystem.of(8, 8, m=8)
 
@@ -333,6 +334,16 @@ class TestFaultAwareSimulator:
         assert data["failovers"] == report.failovers
         assert data["failed_devices"] == [2]
         assert 0.0 <= data["mean_completeness"] <= 1.0
+
+    @pytest.mark.parametrize("name", ["fx", "modulo", "gdm"])
+    def test_fault_free_run_matches_the_plain_simulator(self, name):
+        """Both simulators run one stream loop; with no faults the
+        fault-aware steps change nothing."""
+        method = make_method(name, fields=(8, 8), devices=8)
+        arrivals = _arrivals(n=200)
+        plain = ParallelQuerySimulator(method).run(arrivals)
+        faulty = FaultAwareQuerySimulator(method).run(arrivals)
+        assert faulty.to_dict() == plain.to_dict()
 
 
 class TestRuntimeCounters:

@@ -428,6 +428,12 @@ class TestFacade:
         )
         assert service.file.method.name == "gdm"
 
+    def test_make_service_rejects_a_replica_scheme(self):
+        """A chained replica scheme places no record on one device, so a
+        service over it would fail on its first insert."""
+        with pytest.raises(ConfigurationError, match="replicated"):
+            make_service("replicated", fields=(4, 4), devices=4)
+
     def test_search_convenience(self):
         service = _service()
         result = service.search({0: 3})

@@ -1,7 +1,7 @@
 """Tests for the vectorised query engine fast paths.
 
-The contract under test: every fast path (array inverse mapping, parallel
-sweeps, pattern-grouped batch planning) must be *indistinguishable* from
+The contract under test: every fast path (array inverse mapping,
+pattern-grouped batch planning) must be *indistinguishable* from
 the reference path it accelerates — bit-identical bucket arrays, byte-
 identical reports, same records — across methods, combine rules, file
 systems and query shapes.
@@ -15,13 +15,8 @@ from repro.core.inverse import (
     separable_qualified_on_device,
     separable_qualified_on_device_array,
 )
-from repro.core.optimality import is_k_optimal, optimality_report
 from repro.distribution.gdm import GDMDistribution
 from repro.distribution.modulo import ModuloDistribution
-from repro.distribution.search import (
-    exhaustive_assignment_search,
-    hill_climb_assignment_search,
-)
 from repro.engine import ArrayBatchPlanner, BatchEngine
 from repro.errors import DistributionError
 from repro.hashing.fields import FileSystem
@@ -145,36 +140,6 @@ class TestDevicesOfArrayFastPaths:
             assert vectorised.tolist() == [
                 fx.device_of(tuple(b)) for b in buckets
             ]
-
-
-class TestParallelSweeps:
-    @pytest.mark.parametrize("parallel", [2, 0])
-    def test_optimality_report_byte_identical(self, parallel):
-        fs = FileSystem.of(4, 4, 8, m=16)
-        serial = optimality_report(ModuloDistribution(fs))
-        fanned = optimality_report(ModuloDistribution(fs), parallel=parallel)
-        assert fanned == serial
-        assert repr(fanned) == repr(serial)
-
-    def test_is_k_optimal_matches_serial(self):
-        fs = FileSystem.of(4, 8, m=8)
-        fx = FXDistribution(fs)
-        for k in range(fs.n_fields + 1):
-            assert is_k_optimal(fx, k, parallel=2) == is_k_optimal(fx, k)
-
-    def test_exhaustive_search_identical(self):
-        fs = FileSystem.of(4, 4, m=16)
-        assert exhaustive_assignment_search(fs, parallel=3) == (
-            exhaustive_assignment_search(fs)
-        )
-
-    def test_hill_climb_identical_including_history(self):
-        fs = FileSystem.of(4, 4, 4, m=16)
-        serial = hill_climb_assignment_search(fs, restarts=2, seed=7)
-        fanned = hill_climb_assignment_search(
-            fs, restarts=2, seed=7, parallel=4
-        )
-        assert fanned == serial
 
 
 class TestBatchPlanner:
