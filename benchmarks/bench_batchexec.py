@@ -207,8 +207,8 @@ def _measure(pf, crc, batch_size, seed) -> dict:
     }
 
 
-def _environment() -> dict:
-    """What the sweep ran on, so numbers from two runs can be compared."""
+def environment(repeats: int) -> dict:
+    """What a benchmark ran on, so numbers from two runs can be compared."""
     try:
         described = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--abbrev=40"],
@@ -224,7 +224,7 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "git_sha": described or None,
-        "repeats": REPEATS,
+        "repeats": repeats,
     }
 
 
@@ -254,7 +254,7 @@ def main(argv=None) -> int:
         bucket_count *= size
     result = {
         "mode": "smoke" if args.smoke else "full",
-        "environment": _environment(),
+        "environment": environment(REPEATS),
         "fields": list(fields),
         "devices": devices,
         "bucket_count": bucket_count,

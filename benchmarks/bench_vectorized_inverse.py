@@ -1,17 +1,22 @@
 """Vectorised inverse mapping vs the reference iterator.
 
-Two entry points:
+Three paths enumerate a device's qualified buckets: the reference iterator
+(the serial oracle's planner), the method entry
+``SeparableMethod.qualified_on_device`` (its per-pattern solver serves
+single-query cache misses) and the array kernel.  Two entry points:
 
 * pytest-benchmark functions (collected with the other ``bench_*`` files)
-  timing both paths on a small file system and asserting bit-identical
+  timing the paths on a small file system and asserting bit-identical
   output, and
 * a script mode — ``python benchmarks/bench_vectorized_inverse.py
   [--smoke] [--out BENCH_inverse.json]`` — that measures buckets/sec for
-  both paths over every device of a partial match query and writes the
-  speedup to JSON.  Full mode uses a 2^18-bucket file system (the
-  acceptance configuration: the array path must hold a >= 10x speedup
-  there); ``--smoke`` shrinks the grid so CI can run it on every push and
-  still fail loudly if the fast path stops matching the iterator.
+  all three over every device of a partial match query, checks the other
+  two bit-identical to the iterator, and writes the speedups to JSON with
+  the environment.  The gated ``speedup`` is array over iterator.  Full
+  mode uses a 2^18-bucket file system (the acceptance configuration: the
+  array path must hold a >= 10x speedup there); ``--smoke`` shrinks the
+  grid so CI can run it on every push and still fail loudly if a fast
+  path stops matching the iterator.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from __future__ import annotations
 import argparse
 import json
 import time
+
+from bench_batchexec import environment
 
 from repro.core.fx import FXDistribution
 from repro.core.inverse import (
@@ -46,6 +53,14 @@ def _sweep_iterator(method, query) -> int:
     )
 
 
+def _sweep_method(method, query) -> int:
+    return sum(
+        1
+        for device in range(method.filesystem.m)
+        for __ in method.qualified_on_device(device, query)
+    )
+
+
 def _sweep_array(method, query) -> int:
     return sum(
         separable_qualified_on_device_array(method, device, query).shape[0]
@@ -68,6 +83,12 @@ def bench_inverse_iterator_fx(benchmark):
     assert total == BENCH_QUERY.qualified_count
 
 
+def bench_inverse_method_fx(benchmark):
+    fx = FXDistribution(BENCH_FS)
+    total = benchmark(_sweep_method, fx, BENCH_QUERY)
+    assert total == BENCH_QUERY.qualified_count
+
+
 def bench_inverse_array_modulo(benchmark):
     modulo = ModuloDistribution(BENCH_FS)
     total = benchmark(_sweep_array, modulo, BENCH_QUERY)
@@ -82,7 +103,10 @@ def _check_bit_identical(method, query) -> None:
         expected = list(separable_qualified_on_device(method, device, query))
         got = separable_qualified_on_device_array(method, device, query)
         assert [tuple(row) for row in got.tolist()] == expected, (
-            f"fast path diverged from iterator on device {device}"
+            f"array kernel diverged from iterator on device {device}"
+        )
+        assert list(method.qualified_on_device(device, query)) == expected, (
+            f"method entry diverged from iterator on device {device}"
         )
 
 
@@ -91,30 +115,32 @@ def _measure(fs: FileSystem, repeats: int) -> dict:
     query = PartialMatchQuery.from_dict(fs, {0: 1})
     _check_bit_identical(fx, query)
 
-    iter_seconds = []
-    array_seconds = []
+    sweeps = {
+        "iterator": _sweep_iterator,
+        "method": _sweep_method,
+        "array": _sweep_array,
+    }
+    seconds: dict[str, list[float]] = {name: [] for name in sweeps}
     buckets = query.qualified_count
     for __ in range(repeats):
-        started = time.perf_counter()
-        assert _sweep_iterator(fx, query) == buckets
-        iter_seconds.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        assert _sweep_array(fx, query) == buckets
-        array_seconds.append(time.perf_counter() - started)
-    iter_best = min(iter_seconds)
-    array_best = min(array_seconds)
-    return {
+        for name, sweep in sweeps.items():
+            started = time.perf_counter()
+            assert sweep(fx, query) == buckets
+            seconds[name].append(time.perf_counter() - started)
+    best = {name: min(times) for name, times in seconds.items()}
+    result = {
+        "environment": environment(repeats),
         "filesystem": fs.describe(),
         "bucket_count": fs.bucket_count,
         "query": query.describe(),
         "qualified_buckets": buckets,
-        "repeats": repeats,
-        "iterator_seconds": iter_best,
-        "array_seconds": array_best,
-        "iterator_buckets_per_sec": buckets / iter_best,
-        "array_buckets_per_sec": buckets / array_best,
-        "speedup": iter_best / array_best,
     }
+    for name in sweeps:
+        result[f"{name}_seconds"] = best[name]
+        result[f"{name}_buckets_per_sec"] = buckets / best[name]
+    result["speedup"] = best["iterator"] / best["array"]
+    result["method_speedup"] = best["iterator"] / best["method"]
+    return result
 
 
 def main(argv=None) -> int:
@@ -136,7 +162,9 @@ def main(argv=None) -> int:
     print(
         f"{result['mode']}: {result['qualified_buckets']} buckets on "
         f"{result['filesystem']}; iterator "
-        f"{result['iterator_buckets_per_sec']:,.0f}/s, array "
+        f"{result['iterator_buckets_per_sec']:,.0f}/s, method "
+        f"{result['method_buckets_per_sec']:,.0f}/s "
+        f"({result['method_speedup']:.1f}x), array "
         f"{result['array_buckets_per_sec']:,.0f}/s, "
         f"speedup {result['speedup']:.1f}x -> {args.out}"
     )

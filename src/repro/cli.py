@@ -181,14 +181,26 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject_unread(args: argparse.Namespace, **readers: str) -> None:
+    """Reject a given flag that the chosen ``--method`` does not read.
+
+    *readers* maps each flag's dest to the one method that reads it.
+    """
+    for dest, reader in readers.items():
+        if getattr(args, dest) is not None and args.method != reader:
+            raise ConfigurationError(
+                f"--{dest} is for --method {reader} only, "
+                f"not --method {args.method}"
+            )
+
+
 def _cmd_census(args: argparse.Namespace) -> int:
     fs = _parse_filesystem(args)
+    _reject_unread(args, multipliers="gdm", transforms="fx")
     options: dict[str, object] = {}
-    if args.method == "gdm" and (
-        multipliers := _parse_numbers(args.multipliers, int, "--multipliers")
-    ):
+    if multipliers := _parse_numbers(args.multipliers, int, "--multipliers"):
         options["multipliers"] = tuple(multipliers)
-    if args.method == "fx" and args.transforms:
+    if args.transforms:
         options["transforms"] = args.transforms
     report = optimality_report(_method(fs, args.method, **options))
     print(report.summary())
@@ -337,7 +349,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.experiments.verification import verify_method
 
     fs = _parse_filesystem(args)
-    options = {"policy": args.policy} if args.method == "fx" else {}
+    _reject_unread(args, policy="fx")
+    options = {"policy": args.policy} if args.policy else {}
     report = verify_method(_method(fs, args.method, **options))
     print(report.summary())
     for pattern, engines in report.disagreements[:10]:
@@ -1231,16 +1244,19 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             }
         print(json.dumps(data, indent=2))
         return 0 if ok else 1
-    total_rejected = sum(
-        count
-        for codes in report.rejections.values()
-        for count in codes.values()
-    )
+    rejected: dict[str, int] = {}
+    for codes in report.rejections.values():
+        for code, count in codes.items():
+            rejected[code] = rejected.get(code, 0) + count
     rows = [
         ["tenants", len(tenant_names)],
         ["connections per tenant", args.connections],
         ["requests completed", report.completed],
-        ["rejected (quota / rate)", total_rejected],
+        [
+            "rejected (quota / rate)",
+            rejected.get(SHED, 0) + rejected.get(RATE_LIMITED, 0),
+        ],
+        *([f"rejected ({code})", rejected[code]] for code in failed_codes),
         ["throughput (req/s)", round(report.throughput_qps, 3)],
         ["transport errors", len(report.errors)],
         ["clean drain", clean_drain],
@@ -1881,7 +1897,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "filesystem")
     verify.add_argument("--method", default="fx", choices=["fx", "modulo"])
     verify.add_argument(
-        "--policy", default="paper", choices=["paper", "theorem9"]
+        "--policy", choices=["paper", "theorem9"],
+        help="fx only: transform policy (default paper)",
     )
 
     obs = family("obs", "telemetry: replay a workload and report, export, "

@@ -13,11 +13,16 @@ solved field — we always solve for the largest unspecified field, which for
 an optimal distribution is within a constant factor of the per-device output
 size, i.e. the enumeration is output-sensitive up to ``ceil`` effects.
 
-Two implementations share that algebra:
+Three implementations share that algebra:
 
 * :func:`separable_qualified_on_device` — the reference iterator, one
-  Python tuple at a time, kept for laziness and as the correctness oracle;
-* :func:`separable_qualified_on_device_array` — the serving fast path,
+  Python tuple at a time, kept as the correctness oracle: the serial
+  executor plans through it directly;
+* :class:`PatternSolver` — the same iteration with everything that depends
+  only on the query's pattern prepared once per method; it serves
+  :meth:`~repro.distribution.base.SeparableMethod.qualified_on_device`,
+  the per-device read behind single-query cache misses;
+* :func:`separable_qualified_on_device_array` — the array kernel,
   which materialises the same buckets (same row-major order, bit-identical)
   as one ``(N, n_fields)`` NumPy array via broadcasted fold enumeration and
   a sorted solve-field lookup.
@@ -40,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.distribution.base import SeparableMethod
 
 __all__ = [
+    "PatternSolver",
     "separable_qualified_on_device",
     "separable_qualified_on_device_array",
     "separable_qualified_flat_batch",
@@ -166,6 +172,86 @@ def separable_qualified_on_device(
             yield _build_bucket(
                 query, dict(zip(enumerate_fields, choice)), solve_field, solve_value
             )
+
+
+class PatternSolver:
+    """The per-device solve of one query pattern, prepared once per method.
+
+    :func:`separable_qualified_on_device` re-derives on every call what
+    depends only on which fields are unspecified: the solve field, its
+    pre-images per contribution, and the other fields' contribution
+    tables.  A solver holds those, so :meth:`solve` folds only the query's
+    specified values and emits each bucket with one ``tuple()`` — the
+    reference iterator's buckets, in its order.  It holds per-field
+    tables, never the enumeration, and is immutable once built.
+    """
+
+    __slots__ = ("xor", "m", "specified", "solve_field", "solve_index",
+                 "enumerated", "pairs")
+
+    def __init__(self, method: "SeparableMethod", pattern: frozenset[int]):
+        fs = method.filesystem
+        self.xor = method.combine == "xor"
+        self.m = fs.m
+        self.specified = tuple(
+            (i, method.contribution_table(i))
+            for i in range(fs.n_fields)
+            if i not in pattern
+        )
+        unspecified = sorted(pattern)
+        # The reference iterator's choice: the first largest field.
+        self.solve_field = max(
+            unspecified, key=lambda i: fs.field_sizes[i], default=None
+        )
+        self.solve_index = (
+            {} if self.solve_field is None
+            else contribution_index(method, self.solve_field)
+        )
+        self.enumerated = tuple(i for i in unspecified if i != self.solve_field)
+        #: Per enumerated field, its ``(value, contribution)`` pairs; their
+        #: product is the iterator's row-major enumeration.
+        self.pairs = tuple(
+            tuple(enumerate(method.contribution_table(i)))
+            for i in self.enumerated
+        )
+
+    def solve(self, device: int, query: PartialMatchQuery) -> Iterator[Bucket]:
+        """Yield *query*'s qualified buckets on *device* (of this pattern)."""
+        xor, m, index = self.xor, self.m, self.solve_index
+        values = list(query.values)
+        acc = 0
+        for i, table in self.specified:
+            acc = acc ^ table[values[i]] if xor else acc + table[values[i]]
+        solve_field = self.solve_field
+        if solve_field is None:  # exact match
+            if acc % m == device:
+                yield tuple(values)
+            return
+        if not self.enumerated:  # one unspecified field: solve it directly
+            for solve_value in index.get(
+                acc ^ device if xor else (device - acc) % m, ()
+            ):
+                values[solve_field] = solve_value
+                yield tuple(values)
+            return
+        # Row-major like the reference: the last enumerated field varies
+        # fastest, so it is the inner loop under the others' product.
+        *outer, last = self.enumerated
+        *outer_pairs, last_pairs = self.pairs
+        for prefix in itertools.product(*outer_pairs):
+            folded = acc
+            for i, (value, contribution) in zip(outer, prefix):
+                values[i] = value
+                folded = folded ^ contribution if xor else folded + contribution
+            for value, contribution in last_pairs:
+                values[last] = value
+                for solve_value in index.get(
+                    folded ^ contribution ^ device if xor
+                    else (device - folded - contribution) % m,
+                    (),
+                ):
+                    values[solve_field] = solve_value
+                    yield tuple(values)
 
 
 def separable_qualified_on_device_array(

@@ -115,7 +115,12 @@ class DistributionMethod(ABC):
     # Helpers
     # ------------------------------------------------------------------
     def _check_query(self, query: PartialMatchQuery) -> None:
-        if query.filesystem != self.filesystem:
+        # Identity first: the usual query shares its method's file system,
+        # and the dataclass comparison costs more than a one-bucket solve.
+        if (
+            query.filesystem is not self.filesystem
+            and query.filesystem != self.filesystem
+        ):
             raise DistributionError(
                 "query was built for a different file system "
                 f"({query.filesystem.describe()} vs {self.filesystem.describe()})"
@@ -240,17 +245,24 @@ class SeparableMethod(DistributionMethod):
         """Algebraic inverse mapping: solve the group equation per device.
 
         Overrides the naive scan-and-filter default with the
-        output-sensitive solver (:func:`repro.core.inverse.
-        separable_qualified_on_device`), so every separable method — not
-        just FX — enumerates in the order the vectorised paths
-        (:meth:`qualified_on_device_array`, the batch engine's kernel)
-        reproduce bit-identically.
+        output-sensitive solver, kept on the method per query pattern (a
+        :class:`repro.core.inverse.PatternSolver`, at most ``2^n``), so the
+        ``M`` calls of one query fold only its specified values.  Buckets
+        and order are those of the reference iterator
+        (:func:`repro.core.inverse.separable_qualified_on_device`), which
+        the vectorised paths (:meth:`qualified_on_device_array`, the batch
+        engine's kernel) reproduce bit-identically.  Threads racing on a
+        new pattern may each build its solver; every build is the same.
         """
-        from repro.core.inverse import separable_qualified_on_device
-
         self._check_device(device)
         self._check_query(query)
-        return separable_qualified_on_device(self, device, query)
+        solvers = self.__dict__.setdefault("_pattern_solvers", {})
+        solver = solvers.get(query.pattern)
+        if solver is None:
+            from repro.core.inverse import PatternSolver
+
+            solver = solvers[query.pattern] = PatternSolver(self, query.pattern)
+        return solver.solve(device, query)
 
     def qualified_on_device_array(
         self, device: int, query: PartialMatchQuery

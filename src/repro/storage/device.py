@@ -15,6 +15,7 @@ from itertools import chain
 
 from repro.errors import DeviceFullError
 from repro.hashing.fields import Bucket
+from repro.obs.metrics import default_registry
 from repro.storage.bucket_store import BucketStore
 from repro.storage.costs import DeviceCostModel, UnitCostModel
 
@@ -133,9 +134,7 @@ class SimulatedDevice:
         self.stats.records_returned += returned
         self.stats.busy_time_ms += service
         if buckets:
-            from repro.obs import telemetry
-
-            metrics = telemetry().metrics
+            metrics = default_registry()
             metrics.add("storage.bucket_reads", len(buckets))
             metrics.add("storage.records_returned", returned)
         return grouped, service

@@ -12,8 +12,10 @@ diagnostics the paper's evaluation is built on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.distribution.base import DistributionMethod
+from repro.core.inverse import separable_qualified_on_device
+from repro.distribution.base import DistributionMethod, SeparableMethod
 from repro.envelope import SCHEMA_VERSION
 from repro.hashing.fields import Bucket
 from repro.obs import telemetry, trace_span
@@ -103,11 +105,21 @@ class SingleQueryExecutor:
     method: DistributionMethod
 
     def execute(self, query: PartialMatchQuery) -> ExecutionResult:
-        """Run one query through every device and assemble the result."""
+        """Run one query through every device and assemble the result.
+
+        A separable method plans through the reference iterator, not the
+        per-pattern solver behind :meth:`QueryExecutor.fetch_buckets`, so
+        this oracle checks served reads against an independent
+        implementation.
+        """
         method = self.method
+        plan = method.qualified_on_device
+        if isinstance(method, SeparableMethod):
+            method._check_query(query)
+            plan = partial(separable_qualified_on_device, method)
 
         def assigned_to(device_id: int) -> list[Bucket]:
-            return list(method.qualified_on_device(device_id, query))
+            return list(plan(device_id, query))
 
         return self._run(query, query.qualified_count, assigned_to)
 

@@ -13,6 +13,17 @@ class TestErrorHandling:
             ["census", "--fields", "8,x", "--devices", "4"],
             ["census", "--fields", "8,8", "--devices", "4",
              "--method", "gdm", "--multipliers", "1,z"],
+            # Flags the chosen --method does not read are rejected, not
+            # silently ignored.
+            ["census", "--fields", "4,4", "--devices", "16",
+             "--method", "modulo", "--multipliers", "1,z",
+             "--transforms", "I,U"],
+            ["census", "--fields", "4,4", "--devices", "16",
+             "--method", "gdm", "--transforms", "I,U"],
+            ["census", "--fields", "4,4", "--devices", "16",
+             "--multipliers", "1,3"],
+            ["verify", "--fields", "4,4", "--devices", "16",
+             "--method", "modulo", "--policy", "theorem9"],
             ["design", "--probabilities", "0.5,abc", "--bits", "4"],
             # Out-of-range devices and ports are rejected, not wrapped or
             # left to crash in the socket layer.

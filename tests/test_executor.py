@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.fx import FXDistribution
+from repro.distribution.base import SeparableMethod
 from repro.distribution.modulo import ModuloDistribution
 from repro.hashing.fields import FileSystem
 from repro.query.partial_match import PartialMatchQuery
@@ -50,6 +51,25 @@ class TestExecutionCorrectness:
         pf = _loaded_file(FXDistribution)
         result = pf.search({0: 3, 1: "name-4"})
         assert sum(1 for c in result.buckets_per_device if c) == 1
+
+    def test_oracle_plans_apart_from_the_served_solver(self, monkeypatch):
+        """``execute`` plans through the reference iterator, so it checks
+        the per-pattern solver behind ``fetch_buckets`` independently."""
+        pf = _loaded_file(FXDistribution)
+        query = pf.query({0: 42})
+        executor = QueryExecutor(pf)
+        buckets, __ = executor.fetch_buckets(query)
+
+        def served(self, device, query):
+            raise RuntimeError("served solver called")
+
+        monkeypatch.setattr(SeparableMethod, "qualified_on_device", served)
+        result = executor.execute(query)
+        assert sorted(map(str, result.records)) == sorted(
+            str(record) for records in buckets.values() for record in records
+        )
+        with pytest.raises(RuntimeError, match="served solver"):
+            executor.fetch_buckets(query)
 
 
 class TestExecutionDiagnostics:

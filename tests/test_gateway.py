@@ -1004,17 +1004,26 @@ class TestCli:
             raise RuntimeError("storage exploded")
 
         monkeypatch.setattr(QueryService, "execute", broken)
-        rc = main(
-            ["gateway", "--fields", "4,4", "--devices", "4",
-             "--tenants", "a", "--connections", "1", "--requests", "6",
-             "--write-every", "3", "--preload", "2", "--verify", "--json"]
-        )
+        argv = ["gateway", "--fields", "4,4", "--devices", "4",
+                "--tenants", "a", "--connections", "1", "--requests", "6",
+                "--write-every", "3", "--preload", "2", "--verify"]
+        rc = main([*argv, "--json"])
         captured = capsys.readouterr()
         assert json.loads(captured.out)["rejections"] == {"a": {"internal": 4}}
         assert rc == 1
         error = json.loads(captured.err)["error"]
         assert error["code"] == "gateway_load_failed"
         assert error["rejection_codes"] == ["internal"]
+        # The table counts only the tenant gate's codes as quota / rate
+        # rejections and gives every other code its own row.
+        assert main(argv) == 1
+        rows = dict(
+            line.rsplit(None, 1)
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("rejected (")
+        )
+        assert rows == {"rejected (quota / rate)": "0",
+                        "rejected (internal)": "4"}
 
     @pytest.mark.parametrize("command", ["serve", "gateway", "chaos"])
     def test_replica_scheme_method_rejected_at_parse_time(

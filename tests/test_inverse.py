@@ -5,6 +5,9 @@ qualified buckets must equal filtering ``R(q)`` by ``device_of`` — across
 methods, file systems and query shapes.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from repro.distribution.gdm import GDMDistribution
 from repro.distribution.modulo import ModuloDistribution
 from repro.hashing.fields import FileSystem
 from repro.query.partial_match import PartialMatchQuery
+from repro.query.patterns import all_patterns, representative_query
 
 
 def _naive(method, device, query):
@@ -57,8 +61,6 @@ FILESYSTEMS = [
 @pytest.mark.parametrize("fs", FILESYSTEMS, ids=lambda fs: fs.describe())
 def test_inverse_matches_naive_filter_all_patterns(name, factory, fs):
     method = factory(fs)
-    from repro.query.patterns import all_patterns, representative_query
-
     for pattern in all_patterns(fs.n_fields):
         query = representative_query(fs, pattern)
         for device in range(fs.m):
@@ -83,8 +85,11 @@ def test_inverse_matches_naive_random_values(fs, method_index, rng):
         values.append(rng.randrange(size) if rng.random() < 0.5 else None)
     query = PartialMatchQuery(fs, tuple(values))
     device = rng.randrange(fs.m)
-    algebraic = sorted(separable_qualified_on_device(method, device, query))
-    assert algebraic == sorted(_naive(method, device, query))
+    reference = list(separable_qualified_on_device(method, device, query))
+    assert sorted(reference) == sorted(_naive(method, device, query))
+    # The method's per-pattern solver yields the reference's buckets in its
+    # order.
+    assert list(method.qualified_on_device(device, query)) == reference
 
 
 def test_inverse_partitions_qualified_buckets():
@@ -123,3 +128,41 @@ def test_method_level_entry_point():
     assert sorted(fx.qualified_on_device(2, query)) == sorted(
         _naive(fx, 2, query)
     )
+
+
+def test_pattern_solvers_built_concurrently_answer_like_the_reference():
+    """Threads racing on a fresh method may each build a pattern's solver;
+    every build must answer like the reference iterator."""
+    fs = FileSystem.of(4, 4, 4, m=16)
+    reference = FXDistribution(fs)
+    queries = [
+        representative_query(fs, pattern)
+        for pattern in all_patterns(fs.n_fields)
+    ]
+    expected = {
+        (query, device): list(
+            separable_qualified_on_device(reference, device, query)
+        )
+        for query in queries
+        for device in range(fs.m)
+    }
+    shared = FXDistribution(fs)
+    mismatches = []
+
+    def worker():
+        for (query, device), buckets in expected.items():
+            if list(shared.qualified_on_device(device, query)) != buckets:
+                mismatches.append((query.describe(), device))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for __ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []

@@ -7,6 +7,8 @@ identical reports, same records — across methods, combine rules, file
 systems and query shapes.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.core.inverse import (
 )
 from repro.distribution.gdm import GDMDistribution
 from repro.distribution.modulo import ModuloDistribution
+from repro.distribution.zorder import ZOrderDistribution
 from repro.engine import ArrayBatchPlanner, BatchEngine
 from repro.errors import DistributionError
 from repro.hashing.fields import FileSystem
@@ -37,6 +40,7 @@ def _method_factories():
                 fs, multipliers=tuple(2 + 2 * i for i in range(fs.n_fields))
             ),
         ),
+        ("zorder", lambda fs: ZOrderDistribution(fs)),
     ]
 
 
@@ -52,11 +56,21 @@ class TestQualifiedOnDeviceArray:
     @pytest.mark.parametrize("name,factory", _method_factories())
     @pytest.mark.parametrize("fs", FILESYSTEMS, ids=lambda fs: fs.describe())
     def test_bit_identical_to_iterator_over_full_grid(self, name, factory, fs):
-        """Every (method, device, pattern): same buckets, same order."""
+        """Every (method, device, pattern): the array kernel and the
+        method's per-pattern solver give the reference iterator's buckets
+        in its order."""
         method = factory(fs)
         for pattern in all_patterns(fs.n_fields):
-            query = representative_query(fs, pattern)
-            for device in range(fs.m):
+            zeros = representative_query(fs, pattern)
+            # Specified values at their largest too: a fold of zeros hides
+            # a slip in the group arithmetic.
+            largest = PartialMatchQuery(fs, tuple(
+                None if value is None else size - 1
+                for value, size in zip(zeros.values, fs.field_sizes)
+            ))
+            for query, device in itertools.product(
+                (zeros, largest), range(fs.m)
+            ):
                 expected = list(
                     separable_qualified_on_device(method, device, query)
                 )
@@ -66,16 +80,28 @@ class TestQualifiedOnDeviceArray:
                 assert got.dtype == np.int64
                 assert got.shape == (len(expected), fs.n_fields)
                 assert [tuple(row) for row in got.tolist()] == expected
+                assert list(method.qualified_on_device(device, query)) == (
+                    expected
+                )
 
     def test_method_entry_point_validates(self):
         fs = FileSystem.of(4, 8, m=8)
         fx = FXDistribution(fs)
         query = PartialMatchQuery.from_dict(fs, {0: 1})
-        with pytest.raises(DistributionError):
-            fx.qualified_on_device_array(fs.m, query)
         other = PartialMatchQuery.full_scan(FileSystem.of(4, 8, m=4))
-        with pytest.raises(DistributionError):
-            fx.qualified_on_device_array(0, other)
+        for entry in (fx.qualified_on_device_array, fx.qualified_on_device):
+            with pytest.raises(DistributionError):
+                entry(fs.m, query)
+            with pytest.raises(DistributionError):
+                entry(0, other)
+        # An equal but distinct file system passes the identity check's
+        # fallback, the dataclass equality.
+        twin = PartialMatchQuery.from_dict(FileSystem.of(4, 8, m=8), {0: 1})
+        assert twin.filesystem is not fs
+        for device in range(fs.m):
+            assert list(fx.qualified_on_device(device, twin)) == list(
+                fx.qualified_on_device(device, query)
+            )
 
     def test_exact_match_hits_only_home_device(self):
         fs = FileSystem.of(4, 8, m=8)
