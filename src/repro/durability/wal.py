@@ -83,10 +83,18 @@ class WalEntry:
 
     @classmethod
     def from_payload(cls, data: bytes) -> "WalEntry":
+        """Parse one frame's payload; any damage raises
+        :class:`~repro.errors.WalError`."""
         try:
             obj = json.loads(data)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        except ValueError as error:
+            # JSONDecodeError, UnicodeDecodeError, and integers past the
+            # interpreter's digit limit.
             raise WalError(f"WAL payload is not valid JSON: {error}") from None
+        except RecursionError:
+            raise WalError(
+                "WAL payload nests deeper than the recursion limit"
+            ) from None
         if (
             not isinstance(obj, dict)
             or not isinstance(obj.get("op"), str)

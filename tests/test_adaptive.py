@@ -510,6 +510,119 @@ class TestLoadProfile:
         with pytest.raises(AnalysisError):
             load_profile(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{oops",
+            '{"v":1,"type":"profile","observed":0,"tenants":[]}',
+            '{"v":1,"type":"profile","observed":0,"tenants":{"a":3}}',
+            '{"v":1,"type":"profile","observed":0,'
+            '"tenants":{"a":{"patterns":[1]}}}',
+            '{"type":"span","id":1,"trace":1,"attrs":[]}',
+            '{"type":"span","id":[1],"trace":1,"parent":null}',
+            "[" * 100_000,
+        ],
+        ids=[
+            "syntax",
+            "tenants-list",
+            "tenant-int",
+            "patterns-list",
+            "span-attrs-list",
+            "span-id-list",
+            "deep-nesting",
+        ],
+    )
+    def test_malformed_document_fails_typed(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(ReproError):
+            load_profile(str(path))
+        with pytest.raises(SystemExit) as exited:
+            main(["adapt", "score", *CLI_BASE, "--profile", str(path)])
+        assert exited.value.code == 2
+
+    def test_non_utf8_file_fails_typed(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"v": 1, "type": "\xff"}\n')
+        with pytest.raises(AnalysisError):
+            load_profile(str(path))
+
+
+#: JSON values that nest, for fuzzing the profile parser.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+#: Profile documents close to well-formed: every field a valid value or
+#: an arbitrary JSON value.
+_NEAR_PROFILE = st.fixed_dictionaries(
+    {
+        "v": st.just(1) | _JSON,
+        "type": st.just("profile") | _JSON,
+        "observed": st.integers(-1, 9) | _JSON,
+        "tenants": st.dictionaries(
+            st.text(max_size=4),
+            st.fixed_dictionaries(
+                {
+                    "patterns": st.dictionaries(
+                        st.text(alphabet="1*x", max_size=4),
+                        st.integers(-1, 9) | _JSON,
+                        max_size=3,
+                    )
+                    | _JSON
+                }
+            )
+            | _JSON,
+            max_size=3,
+        )
+        | _JSON,
+    }
+)
+
+
+class TestProfileFuzz:
+    """The profile parsers return a profile or raise typed errors only."""
+
+    @given(st.text(max_size=80) | _JSON.map(json.dumps))
+    def test_from_json_on_arbitrary_text(self, text):
+        try:
+            QueryMixProfile.from_json(text)
+        except ReproError:
+            pass
+
+    @given(_NEAR_PROFILE)
+    def test_from_json_on_near_profiles(self, document):
+        try:
+            profile = QueryMixProfile.from_json(json.dumps(document))
+        except ReproError:
+            return
+        assert profile.observed == sum(
+            tenant.queries for tenant in profile.tenants.values()
+        )
+
+    @given(
+        st.lists(
+            _NEAR_PROFILE.map(json.dumps)
+            | _JSON.map(json.dumps)
+            | st.fixed_dictionaries(
+                {"type": st.just("span"), "id": _JSON, "trace": _JSON,
+                 "parent": _JSON, "name": _JSON, "attrs": _JSON}
+            ).map(json.dumps)
+            | st.text(max_size=40),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_load_profile_on_arbitrary_files(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("fuzz") / "profile.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            load_profile(str(path))
+        except ReproError:
+            pass
+
 
 # ======================================================================
 # CLI

@@ -9,8 +9,12 @@ group.
 """
 
 import json
+import struct
+import zlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.api import make_durable_file
@@ -32,6 +36,7 @@ from repro.errors import (
     ConfigurationError,
     CorruptPageError,
     RecoveryError,
+    ReproError,
     SimulatedCrashError,
     StorageError,
     WalError,
@@ -239,6 +244,90 @@ class TestWal:
     def test_negative_crash_boundary_rejected(self):
         with pytest.raises(ConfigurationError):
             CrashPoint(-1)
+
+    def test_payload_nested_past_the_recursion_limit_rejected(self):
+        payload = b"[" * 100_000
+        frame = struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+        for data in (frame, frame + WalEntry("insert", (1,)).frame()):
+            with pytest.raises(WalError, match="recursion"):
+                read_wal(data)
+            with pytest.raises(WalError, match="recursion"):
+                WriteAheadLog.from_bytes(data)
+
+
+def _real_log() -> tuple[bytes, list[WalEntry]]:
+    """A log of every op, with and without meta, as a tenant writes it."""
+    wal = WriteAheadLog()
+    wal.append("insert", (1, 2), {"idem": "a.1"})
+    wal.append("insert", (3, "x", 4.5))
+    wal.append("move", (3, 0))
+    wal.append("delete", (1, 2))
+    wal.append("insert", (-7, None, True), {"idem": "b.2"})
+    return wal.to_bytes(), wal.entries()
+
+
+_LOG, _LOG_ENTRIES = _real_log()
+
+#: JSON values that nest, as garbage frame payloads.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_GARBAGE_PAYLOAD = st.one_of(
+    st.binary(max_size=48),
+    _JSON.map(lambda value: json.dumps(value).encode()),
+    st.fixed_dictionaries(
+        {"op": _JSON | st.sampled_from(["insert", "delete", "move"]),
+         "record": _JSON, "meta": _JSON}
+    ).map(lambda value: json.dumps(value).encode()),
+    st.sampled_from([b"[" * 100_000, b"{" * 50_000, b"[" + b"9" * 5_000 + b"]"]),
+)
+
+
+def _frame(payload: bytes) -> bytes:
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+def _decode_or_typed_error(data: bytes):
+    """Both decoders on *data*: entries, or a ReproError and nothing else."""
+    try:
+        entries, __ = read_wal(data)
+    except ReproError:
+        entries = None
+    try:
+        WriteAheadLog.from_bytes(data)
+    except ReproError:
+        assert entries is None
+    return entries
+
+
+class TestWalFuzz:
+    """Damaged real logs decode to entries or raise typed errors only."""
+
+    def test_truncated_at_every_offset_decodes_a_prefix(self):
+        for cut in range(len(_LOG) + 1):
+            entries = _decode_or_typed_error(_LOG[:cut])
+            assert entries == _LOG_ENTRIES[: len(entries)]
+
+    @given(st.lists(st.integers(0, len(_LOG) * 8 - 1), min_size=1, max_size=6))
+    def test_bit_flips(self, bits):
+        data = bytearray(_LOG)
+        for bit in bits:
+            data[bit // 8] ^= 1 << (bit % 8)
+        _decode_or_typed_error(bytes(data))
+
+    @given(
+        st.lists(_GARBAGE_PAYLOAD, min_size=1, max_size=3),
+        st.integers(0, len(_LOG)),
+    )
+    def test_followed_by_crc_valid_garbage_frames(self, payloads, cut):
+        garbage = b"".join(_frame(payload) for payload in payloads)
+        _decode_or_typed_error(_LOG[:cut] + garbage)
+        entries = _decode_or_typed_error(_LOG + garbage)
+        if entries is not None:
+            assert entries[: len(_LOG_ENTRIES)] == _LOG_ENTRIES
 
 
 # ----------------------------------------------------------------------
