@@ -29,6 +29,7 @@ from repro import obs
 from repro.chaos import ChaosSpec, NetFaultPlan, run_chaos_load
 from repro.gateway.tenant import TenantSpec
 from repro.runtime import RetryPolicy
+from repro.service import LoadSpec
 
 FULL_RATES = (0.0, 0.03, 0.06, 0.1)
 SMOKE_RATES = (0.0, 0.06)
@@ -45,11 +46,13 @@ def _run_chaos(rate: float, requests: int, crash: bool):
     """One measured chaos run; returns the verified report."""
     obs.reset_telemetry()
     spec = ChaosSpec(
-        connections_per_tenant=2,
-        requests_per_connection=requests,
-        seed=SEED,
-        write_every=3,
-        preload=4,
+        load=LoadSpec(
+            clients=2,
+            requests_per_client=requests,
+            seed=SEED,
+            write_every=3,
+            preload=4,
+        ),
         faults=(
             NetFaultPlan.none()
             if rate == 0.0

@@ -25,7 +25,12 @@ from collections.abc import Iterator, Mapping
 
 from repro.analysis.query_model import QueryModel
 from repro.errors import AnalysisError
-from repro.obs.profile import QueryMixProfile, TenantProfile, _parse_json
+from repro.obs.profile import (
+    QueryMixProfile,
+    TenantProfile,
+    _parse_json,
+    _walkable,
+)
 from repro.query.patterns import SpecPattern
 
 __all__ = [
@@ -226,14 +231,3 @@ def load_profile(path: str) -> QueryMixProfile:
     if documents[0].get("type") == "profile":
         return QueryMixProfile.from_dict(documents[0])
     return QueryMixProfile.from_records(documents)
-
-
-def _walkable(span: Mapping) -> bool:
-    """Does *span* carry what the profiler's parent walk reads?"""
-    parent = span.get("parent")
-    return (
-        isinstance(span.get("trace"), int)
-        and isinstance(span.get("id"), int)
-        and (parent is None or isinstance(parent, int))
-        and isinstance(span.get("attrs", {}), dict)
-    )

@@ -4,9 +4,10 @@
 :class:`~repro.chaos.supervisor.RestartableGateway`, one fault-injecting
 :class:`~repro.chaos.proxy.ChaosEndpoint` per ``(tenant, connection)``,
 and one :class:`~repro.gateway.resilient.ResilientGatewayClient` per
-endpoint — runs a deterministic op log through it (the same per-connection
-logs as :mod:`repro.gateway.loadtest`), optionally kills and restarts the
-gateway mid-run, and returns a :class:`ChaosReport` whose
+endpoint — runs the shared load-driver core (:mod:`repro.service.loadgen`,
+with the same per-connection op logs as the loopback load) through it,
+optionally kills and restarts the gateway mid-run, and returns a
+:class:`ChaosReport` whose
 :meth:`~ChaosReport.verify` proves the invariants that make resilience
 *correct* rather than merely lucky:
 
@@ -20,12 +21,12 @@ gateway mid-run, and returns a :class:`ChaosReport` whose
 * **bounded retry amplification** — total retries are capped by the
   faults actually injected times the retry budget.
 
-The crash is phased with two barriers: every client finishes its
-pre-crash ops and parks; the supervisor crash-captures the WAL "disks"
-and restarts; only then do clients resume.  Combined with the strictly
-synchronous relay (no exchange is ever half-served) this makes the
-entire run — fault schedule, WAL contents, retry counts, ack sets —
-deterministic per seed: :meth:`ChaosReport.canonical_digest` is
+The crash is phased with the client loop's two barriers: every client
+finishes its pre-crash ops and parks; the supervisor crash-captures the
+WAL "disks" and restarts; only then do clients resume.  Combined with
+the strictly synchronous relay (no exchange is ever half-served) this
+makes the entire run — fault schedule, WAL contents, retry counts, ack
+sets — deterministic per seed: :meth:`ChaosReport.canonical_digest` is
 byte-identical across runs of the same spec.
 """
 
@@ -33,9 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
-import threading
-import time
 import zlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -44,8 +42,7 @@ from repro.chaos.faults import NetFaultInjector, NetFaultPlan
 from repro.chaos.proxy import ChaosEndpoint
 from repro.chaos.supervisor import RestartableGateway
 from repro.errors import CircuitOpenError, ConfigurationError
-from repro.gateway.client import GatewayClient, GatewayRequestError
-from repro.gateway.loadtest import GatewayLoadSpec, _connection_ops
+from repro.gateway.loadtest import _connection_logs, _rejected
 from repro.gateway.resilient import (
     TRANSPORT_ERRORS,
     CircuitBreaker,
@@ -56,28 +53,30 @@ from repro.gateway.tenant import TenantSpec
 from repro.hashing.fields import FileSystem
 from repro.hashing.multikey import MultiKeyHash
 from repro.runtime.retry import RetryPolicy
-from repro.service.loadgen import LoadReport, LoadSpec, RequestRecord
+from repro.service.loadgen import LoadReport, LoadSpec, preload, run_clients
 
 __all__ = ["ChaosSpec", "ChaosReport", "run_chaos_load"]
 
 
+#: Consecutive transport failures before a client's breaker trips.
+#: Deliberately high: an open breaker heals on a wall-clock cooldown,
+#: which would break run determinism.
+BREAKER_THRESHOLD = 64
+BREAKER_COOLDOWN_S = 1.0
+
+
 @dataclass(frozen=True)
 class ChaosSpec:
-    """Shape of one chaos run (per tenant)."""
+    """Shape of one chaos run: the op logs (per tenant) and the chaos."""
 
-    connections_per_tenant: int = 2
-    requests_per_connection: int = 16
-    seed: int = 0
-    spec_probability: float = 0.5
-    #: Every k-th op of a connection is an insert (0 = read-only — but
-    #: then the exactly-once proof has nothing to chew on).
-    write_every: int = 3
-    hot_fraction: float = 0.0
-    hot_pool: int = 4
-    batch_every: int = 0
-    batch_size: int = 4
-    #: Records written per tenant (through the WAL) before chaos starts.
-    preload: int = 4
+    #: The op-log shape shared with the fault-free loads.  Its inserts
+    #: are what the exactly-once proof checks, so the default writes
+    #: every third op and preloads 4 records per tenant.
+    load: LoadSpec = field(
+        default_factory=lambda: LoadSpec(
+            clients=2, requests_per_client=16, write_every=3, preload=4
+        )
+    )
     #: The wire-fault schedule; :meth:`NetFaultPlan.none` = clean run.
     faults: NetFaultPlan = field(default_factory=NetFaultPlan.none)
     #: Fraction of each connection's ops after which the gateway is
@@ -92,24 +91,8 @@ class ChaosSpec:
             max_attempts=6, base_delay_ms=2.0, max_delay_ms=25.0
         )
     )
-    #: Consecutive transport failures before a client's breaker trips.
-    #: The default is deliberately high: an open breaker heals on a
-    #: wall-clock cooldown, which would break run determinism.
-    breaker_threshold: int = 64
-    breaker_cooldown_s: float = 1.0
-    deadline_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.connections_per_tenant < 1:
-            raise ConfigurationError(
-                "connections_per_tenant must be >= 1, got "
-                f"{self.connections_per_tenant}"
-            )
-        if self.requests_per_connection < 1:
-            raise ConfigurationError(
-                "requests_per_connection must be >= 1, got "
-                f"{self.requests_per_connection}"
-            )
         if self.crash_at is not None and not 0.0 <= self.crash_at <= 1.0:
             raise ConfigurationError(
                 f"crash_at {self.crash_at} outside [0, 1]"
@@ -118,28 +101,6 @@ class ChaosSpec:
             raise ConfigurationError(
                 f"timeout_s must be positive, got {self.timeout_s}"
             )
-        if self.breaker_threshold < 1:
-            raise ConfigurationError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        if self.preload < 0 or self.write_every < 0:
-            raise ConfigurationError("preload/write_every must be >= 0")
-
-    def load_spec(self) -> GatewayLoadSpec:
-        """The op-log shape shared with the fault-free loopback load."""
-        return GatewayLoadSpec(
-            connections_per_tenant=self.connections_per_tenant,
-            requests_per_connection=self.requests_per_connection,
-            seed=self.seed,
-            spec_probability=self.spec_probability,
-            write_every=self.write_every,
-            hot_fraction=self.hot_fraction,
-            hot_pool=self.hot_pool,
-            batch_every=self.batch_every,
-            batch_size=self.batch_size,
-            preload=0,
-            deadline_ms=self.deadline_ms,
-        )
 
 
 @dataclass
@@ -243,9 +204,7 @@ class ChaosReport:
                 )
             violations.extend(
                 f"{name}: {message}"
-                for message in report.verify(
-                    self._hashes[name], initial_records=[]
-                )
+                for message in report.verify(self._hashes[name])
             )
         # Retry amplification: every retry must be attributable to an
         # injected fault or a crash-severed connection, each of which can
@@ -276,7 +235,7 @@ class ChaosReport:
 
         return versioned(
             {
-                "seed": self.spec.seed,
+                "seed": self.spec.load.seed,
                 "faults": self.spec.faults.describe(),
                 "crash_at": self.spec.crash_at,
                 "torn_tail": self.spec.torn_tail,
@@ -371,74 +330,55 @@ def run_chaos_load(
     the resilient clients are all built and torn down inside the call.
     """
     spec = spec or ChaosSpec()
+    load = spec.load
     specs = [getattr(tenant, "spec", tenant) for tenant in tenants]
+    filesystems = {
+        tenant.name: FileSystem.of(*tenant.fields, m=tenant.devices)
+        for tenant in specs
+    }
     supervisor = RestartableGateway(
         specs,
-        config=GatewayConfig(
-            max_connections=4 * len(specs) * spec.connections_per_tenant + 8
-        ),
+        config=GatewayConfig(max_connections=4 * len(specs) * load.clients + 8),
         service_defaults=service_defaults,
     )
     host, port = supervisor.start()
 
-    hashes: dict[str, MultiKeyHash] = {}
-    acked: dict[str, list[tuple[int, tuple]]] = {
-        tenant.name: [] for tenant in specs
-    }
-    errors: list[str] = []
-    errors_lock = threading.Lock()
-
     # Preload through the real gateway (no proxy): these writes ride the
     # WAL like any other, so the verify timeline starts at version 1.
-    for tenant in specs:
-        fs = FileSystem.of(*tenant.fields, m=tenant.devices)
-        hashes[tenant.name] = MultiKeyHash.default(fs)
-        if spec.preload:
-            rng = random.Random(f"chaos-preload:{spec.seed}:{tenant.name}")
-            trace_seed = zlib.crc32(
-                f"chaos-preload-trace:{spec.seed}:{tenant.name}".encode()
-            )
-            with GatewayClient(
-                host, port, tenant=tenant.name, trace_seed=trace_seed
-            ) as client:
-                for n in range(spec.preload):
-                    record = tuple(
-                        rng.randrange(4096) for __ in range(fs.n_fields)
-                    )
-                    __, version = client.insert(
-                        record, idem=f"preload:{spec.seed}:{tenant.name}:{n}"
-                    )
-                    acked[tenant.name].append((version, record))
+    preloaded = preload(
+        lambda name: ResilientGatewayClient(
+            host,
+            port,
+            tenant=name,
+            retry=spec.retry,
+            timeout_s=spec.timeout_s,
+            trace_seed=zlib.crc32(
+                f"chaos-preload-trace:{load.seed}:{name}".encode()
+            ),
+            idem_prefix=f"preload:{load.seed}:{name}",
+        ),
+        filesystems,
+        load,
+        "chaos-preload",
+    )
 
     injector = NetFaultInjector(spec.faults)
-    endpoints: dict[tuple[str, int], ChaosEndpoint] = {}
-    for tenant in specs:
-        for connection in range(spec.connections_per_tenant):
-            endpoint = ChaosEndpoint(
-                (host, port), injector, tenant.name, connection
-            )
-            endpoint.start()
-            endpoints[(tenant.name, connection)] = endpoint
+    slots = [
+        (tenant, connection)
+        for tenant in specs
+        for connection in range(load.clients)
+    ]
+    endpoints = [
+        ChaosEndpoint((host, port), injector, tenant.name, connection)
+        for tenant, connection in slots
+    ]
+    for endpoint in endpoints:
+        endpoint.start()
+    clients: list[ResilientGatewayClient] = []
 
-    load_spec = spec.load_spec()
-    outcomes: dict[str, list[tuple[str, str, int]]] = {}
-    per_endpoint_requests: dict[str, list[RequestRecord]] = {}
-    totals_lock = threading.Lock()
-    totals = {"retries": 0, "reconnects": 0, "deduped": 0}
-    n_endpoints = len(endpoints)
-    barrier_pre = threading.Barrier(n_endpoints + 1)
-    barrier_post = threading.Barrier(n_endpoints + 1)
-
-    def endpoint_loop(tenant: TenantSpec, connection: int) -> None:
-        key = f"{tenant.name}#{connection}"
-        fs = FileSystem.of(*tenant.fields, m=tenant.devices)
-        ops = _connection_ops(fs, tenant.name, connection, load_spec)
-        crash_index = (
-            len(ops)
-            if spec.crash_at is None
-            else int(len(ops) * spec.crash_at)
-        )
-        proxy_host, proxy_port = endpoints[(tenant.name, connection)].address
+    def connect(slot: int) -> ResilientGatewayClient:
+        tenant, connection = slots[slot]
+        proxy_host, proxy_port = endpoints[slot].address
         client = ResilientGatewayClient(
             proxy_host,
             proxy_port,
@@ -448,154 +388,80 @@ def run_chaos_load(
             retry=spec.retry,
             timeout_s=spec.timeout_s,
             breaker=CircuitBreaker(
-                failure_threshold=spec.breaker_threshold,
-                cooldown_s=spec.breaker_cooldown_s,
+                failure_threshold=BREAKER_THRESHOLD,
+                cooldown_s=BREAKER_COOLDOWN_S,
             ),
             trace_seed=zlib.crc32(
-                f"chaos-trace:{spec.seed}:{tenant.name}:{connection}".encode()
+                f"chaos-trace:{load.seed}:{tenant.name}:{connection}".encode()
             ),
-            idem_prefix=f"{spec.seed}:{tenant.name}:{connection}",
+            idem_prefix=f"{load.seed}:{tenant.name}:{connection}",
         )
-        log: list[tuple[str, str, int]] = []
-        requests: list[RequestRecord] = []
-        writes: list[tuple[int, tuple]] = []
+        clients.append(client)
+        return client
 
-        def run_op(index: int, kind: str, payload) -> None:
-            try:
-                if kind == "insert":
-                    __, version = client.insert(payload)
-                    writes.append((version, payload))
-                    log.append((kind, "ok", client.last_attempts))
-                elif kind == "batch":
-                    started = time.perf_counter()
-                    results = client.batch(
-                        payload, deadline_ms=spec.deadline_ms
-                    )
-                    latency_ms = (time.perf_counter() - started) * 1000.0
-                    for result in results:
-                        requests.append(
-                            RequestRecord(
-                                connection, index, result.query, result,
-                                latency_ms,
-                            )
-                        )
-                    log.append((kind, "ok", client.last_attempts))
-                else:
-                    started = time.perf_counter()
-                    result = client.query(
-                        payload, deadline_ms=spec.deadline_ms
-                    )
-                    latency_ms = (time.perf_counter() - started) * 1000.0
-                    requests.append(
-                        RequestRecord(
-                            connection, index, result.query, result,
-                            latency_ms,
-                        )
-                    )
-                    log.append((kind, result.status, client.last_attempts))
-            except CircuitOpenError:
-                log.append((kind, "breaker_open", 0))
-            except GatewayRequestError as error:
-                log.append((kind, f"rejected:{error.code}", 1))
-            except TRANSPORT_ERRORS as error:
-                log.append(
-                    (
-                        kind,
-                        f"failed:{type(error).__name__}",
-                        spec.retry.max_attempts,
-                    )
-                )
+    def outcome(error: Exception) -> tuple[str, int] | None:
+        if isinstance(error, CircuitOpenError):
+            return "breaker_open", 0
+        if isinstance(error, TRANSPORT_ERRORS):
+            return f"failed:{type(error).__name__}", spec.retry.max_attempts
+        return _rejected(error)
 
-        try:
-            for index, (kind, payload) in enumerate(ops[:crash_index]):
-                run_op(index, kind, payload)
-            barrier_pre.wait()
-            barrier_post.wait()
-            for index, (kind, payload) in enumerate(
-                ops[crash_index:], start=crash_index
-            ):
-                run_op(index, kind, payload)
-        except BaseException as error:  # invariant: zero unexpected errors
-            with errors_lock:
-                errors.append(f"{key}: {error!r}")
-        finally:
-            client.close()
-        with totals_lock:
-            outcomes[key] = log
-            per_endpoint_requests[key] = requests
-            acked[tenant.name].extend(writes)
-            totals["retries"] += client.retries
-            totals["reconnects"] += client.reconnects
-            totals["deduped"] += client.deduped
-
-    threads = [
-        threading.Thread(
-            target=endpoint_loop,
-            args=(tenant, connection),
-            name=f"chaos-client-{tenant.name}-{connection}",
-        )
-        for tenant in specs
-        for connection in range(spec.connections_per_tenant)
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    barrier_pre.wait()
-    if spec.crash_at is not None:
+    def crash() -> None:
         supervisor.crash(torn_tail=spec.torn_tail)
         supervisor.restart()
-    barrier_post.wait()
-    for thread in threads:
-        thread.join()
-    wall_s = time.perf_counter() - started
 
+    client_logs = _connection_logs(slots, load)
+    logs, wall_s = run_clients(
+        connect,
+        client_logs,
+        load.deadline_ms,
+        outcome,
+        crash_at=spec.crash_at,
+        crash=crash,
+    )
+    keys = [key for key, __, __ in client_logs]
+
+    acked: dict[str, list[tuple[int, tuple]]] = {name: [] for name in filesystems}
+    for name, log in zip(filesystems, preloaded):
+        acked[name].extend(log.writes)
+    for (tenant, __), log in zip(slots, logs):
+        acked[tenant.name].extend(log.writes)
     # The WAL is the ground truth the invariants replay against: entry k
     # describes write version k+1 (appends happen under the file's
     # mutation lock, so log order equals version order).
     per_tenant: dict[str, LoadReport] = {}
     wal_idem: dict[str, list[str]] = {}
     recovered: dict[str, dict | None] = {}
-    for tenant in specs:
-        entries = supervisor.wal_entries(tenant.name)
-        report = LoadReport(
-            spec=LoadSpec(
-                clients=spec.connections_per_tenant,
-                requests_per_client=spec.requests_per_connection,
-                seed=spec.seed,
-                spec_probability=spec.spec_probability,
-                write_every=spec.write_every,
-                hot_fraction=spec.hot_fraction,
-                hot_pool=spec.hot_pool,
-                deadline_ms=spec.deadline_ms,
-            ),
+    for name in filesystems:
+        entries = supervisor.wal_entries(name)
+        per_tenant[name] = LoadReport(
+            spec=load,
             wall_s=wall_s,
+            requests=[
+                request
+                for (tenant, __), log in zip(slots, logs)
+                if tenant.name == name
+                for request in log.requests
+            ],
             writes=[
                 (index + 1, tuple(entry.record))
                 for index, entry in enumerate(entries)
                 if entry.op == "insert"
             ],
         )
-        per_tenant[tenant.name] = report
-        wal_idem[tenant.name] = [
+        wal_idem[name] = [
             str((entry.meta or {}).get("idem"))
             for entry in entries
             if entry.op == "insert" and (entry.meta or {}).get("idem")
         ]
         live = (
-            supervisor.gateway.tenants.get(tenant.name)
+            supervisor.gateway.tenants.get(name)
             if supervisor.gateway is not None
             else None
         )
-        recovered[tenant.name] = live.recovered if live is not None else None
-    for key, requests in per_endpoint_requests.items():
-        name = key.split("#", 1)[0]
-        per_tenant[name].requests.extend(requests)
+        recovered[name] = live.recovered if live is not None else None
 
-    faults = {
-        f"{name}#{connection}": dict(endpoint.faults)
-        for (name, connection), endpoint in endpoints.items()
-    }
-    for endpoint in endpoints.values():
+    for endpoint in endpoints:
         endpoint.stop()
     supervisor.stop()
 
@@ -606,12 +472,17 @@ def run_chaos_load(
         per_tenant=per_tenant,
         acked=acked,
         wal_idem=wal_idem,
-        outcomes=outcomes,
-        faults=faults,
+        outcomes={key: log.outcomes for key, log in zip(keys, logs)},
+        faults={
+            key: dict(endpoint.faults)
+            for key, endpoint in zip(keys, endpoints)
+        },
         recovered=recovered,
-        total_retries=totals["retries"],
-        total_reconnects=totals["reconnects"],
-        total_deduped=totals["deduped"],
-        errors=errors,
-        _hashes=hashes,
+        total_retries=sum(client.retries for client in clients),
+        total_reconnects=sum(client.reconnects for client in clients),
+        total_deduped=sum(client.deduped for client in clients),
+        errors=[log.error for log in preloaded + logs if log.error],
+        _hashes={
+            name: MultiKeyHash.default(fs) for name, fs in filesystems.items()
+        },
     )

@@ -787,14 +787,15 @@ def _cmd_obs_check(args: argparse.Namespace) -> int:
 def _loopback_run(args: argparse.Namespace, gateway,
                   fetch_obs: bool = False, **load: object):
     """Start *gateway*, drive the seeded loopback load over the wire and
-    drain it; *load* adds :class:`~repro.gateway.GatewayLoadSpec` fields.
+    drain it; *load* adds :class:`~repro.service.LoadSpec` fields.
 
     Returns the load report, the ``{"op": "obs"}`` snapshot fetched over
     the wire after the load (with *fetch_obs*, else None) and whether the
     drain was clean.
     """
-    from repro.gateway import GatewayLoadSpec, run_loopback_load
+    from repro.gateway import run_loopback_load
     from repro.gateway.client import GatewayClient
+    from repro.service import LoadSpec
 
     host, port = gateway.start()
     snapshot = None
@@ -802,9 +803,9 @@ def _loopback_run(args: argparse.Namespace, gateway,
         report = run_loopback_load(
             (host, port),
             list(gateway.tenants.values()),
-            GatewayLoadSpec(
-                connections_per_tenant=args.connections,
-                requests_per_connection=args.requests,
+            LoadSpec(
+                clients=args.connections,
+                requests_per_client=args.requests,
                 seed=args.seed,
                 spec_probability=args.p,
                 **load,
@@ -1083,8 +1084,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         devices=fs.m,
         **_serving_options(args),
     )
-    initial = _seeded_records(fs, args.records, args.seed)
-    service.file.insert_all(initial)
     generator = LoadGenerator(
         service,
         LoadSpec(
@@ -1094,6 +1093,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             spec_probability=args.p,
             write_every=args.write_every,
             hot_fraction=args.hot_fraction,
+            preload=args.records,
             deadline_ms=args.deadline,
         ),
     )
@@ -1101,9 +1101,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     data = report.to_dict()
     mismatches: list[str] = []
     if args.verify:
-        mismatches = report.verify(
-            service.file.multikey_hash, initial_records=initial
-        )
+        mismatches = report.verify(service.file.multikey_hash)
         data["replay_mismatches"] = len(mismatches)
     snap = obs.telemetry().metrics.snapshot()
     counters = {
@@ -1312,6 +1310,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import ChaosSpec, NetFaultPlan, run_chaos_load
     from repro.gateway.tenant import TenantSpec
     from repro.runtime import RetryPolicy
+    from repro.service import LoadSpec
 
     obs.reset_telemetry()
     fs = _parse_filesystem(args)
@@ -1332,13 +1331,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         delay_ms=args.delay_ms,
     )
     spec = ChaosSpec(
-        connections_per_tenant=args.connections,
-        requests_per_connection=args.requests,
-        seed=args.seed,
-        spec_probability=args.p,
-        write_every=args.write_every,
-        batch_every=args.batch_every,
-        preload=args.preload,
+        load=LoadSpec(
+            clients=args.connections,
+            requests_per_client=args.requests,
+            seed=args.seed,
+            spec_probability=args.p,
+            write_every=args.write_every,
+            batch_every=args.batch_every,
+            preload=args.preload,
+        ),
         faults=plan,
         crash_at=None if args.no_crash else args.crash_at,
         torn_tail=args.torn_tail,

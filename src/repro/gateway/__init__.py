@@ -28,11 +28,7 @@ proved end to end by the chaos harness in :mod:`repro.chaos`.
 """
 
 from repro.gateway.client import GatewayClient, GatewayRequestError
-from repro.gateway.loadtest import (
-    GatewayLoadReport,
-    GatewayLoadSpec,
-    run_loopback_load,
-)
+from repro.gateway.loadtest import GatewayLoadReport, run_loopback_load
 from repro.gateway.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameDecoder,
@@ -51,7 +47,6 @@ __all__ = [
     "GatewayRequestError",
     "CircuitBreaker",
     "ResilientGatewayClient",
-    "GatewayLoadSpec",
     "GatewayLoadReport",
     "run_loopback_load",
     "Tenant",

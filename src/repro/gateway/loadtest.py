@@ -2,12 +2,13 @@
 
 This drives a running :class:`~repro.gateway.server.Gateway` through real
 sockets — N tenants x C connections, each connection a closed-loop client
-with a *deterministic* op log (seeded per ``(tenant, connection)``), the
-same discipline as the in-process
-:class:`~repro.service.loadgen.LoadGenerator`.  Every response is rebuilt
-into a full :class:`~repro.service.frontend.ServiceResult`, so the run
-ends with one :class:`~repro.service.loadgen.LoadReport` per tenant and
-the zero-stale-reads serial-replay check
+running its tenant's :func:`~repro.service.loadgen.op_log` on the shared
+client loop (:func:`~repro.service.loadgen.run_clients`), as the
+in-process :class:`~repro.service.loadgen.LoadGenerator` does.  Every
+response is rebuilt into a full
+:class:`~repro.service.frontend.ServiceResult`, so the run ends with one
+:class:`~repro.service.loadgen.LoadReport` per tenant and the
+zero-stale-reads serial-replay check
 (:meth:`~repro.service.loadgen.LoadReport.verify`) runs over traffic that
 crossed the wire, not a shortcut in-process path.
 
@@ -19,9 +20,6 @@ counters.
 
 from __future__ import annotations
 
-import random
-import threading
-import time
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -31,59 +29,22 @@ from repro.gateway.client import GatewayClient, GatewayRequestError
 from repro.gateway.tenant import TenantSpec
 from repro.hashing.fields import FileSystem
 from repro.hashing.multikey import MultiKeyHash
-from repro.query.workload import QueryWorkload, WorkloadSpec
-from repro.service.loadgen import LoadReport, LoadSpec, RequestRecord
+from repro.service.loadgen import (
+    LoadReport,
+    LoadSpec,
+    op_log,
+    preload,
+    run_clients,
+)
 
-__all__ = ["GatewayLoadSpec", "GatewayLoadReport", "run_loopback_load"]
-
-
-@dataclass(frozen=True)
-class GatewayLoadSpec:
-    """Shape of one loopback load run (per tenant)."""
-
-    connections_per_tenant: int = 4
-    requests_per_connection: int = 25
-    seed: int = 0
-    spec_probability: float = 0.5
-    #: Every k-th op of a connection is an insert (0 = read-only).
-    write_every: int = 0
-    hot_fraction: float = 0.0
-    hot_pool: int = 4
-    #: Every k-th op is a ``batch`` frame of *batch_size* queries (0 = never).
-    batch_every: int = 0
-    batch_size: int = 4
-    #: Records inserted per tenant before the timed run starts.
-    preload: int = 0
-    deadline_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.connections_per_tenant < 1:
-            raise ConfigurationError(
-                f"connections_per_tenant must be >= 1, got "
-                f"{self.connections_per_tenant}"
-            )
-        if self.requests_per_connection < 1:
-            raise ConfigurationError(
-                f"requests_per_connection must be >= 1, got "
-                f"{self.requests_per_connection}"
-            )
-        if not 0.0 <= self.hot_fraction <= 1.0:
-            raise ConfigurationError(
-                f"hot_fraction {self.hot_fraction} outside [0, 1]"
-            )
-        if self.write_every < 0 or self.batch_every < 0 or self.preload < 0:
-            raise ConfigurationError("write_every/batch_every/preload must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
+__all__ = ["GatewayLoadReport", "run_loopback_load"]
 
 
 @dataclass
 class GatewayLoadReport:
     """Everything one loopback run produced, per tenant plus wire totals."""
 
-    spec: GatewayLoadSpec
+    spec: LoadSpec
     wall_s: float
     #: One serial-replay-verifiable report per tenant.
     per_tenant: dict[str, LoadReport] = field(default_factory=dict)
@@ -112,7 +73,7 @@ class GatewayLoadReport:
         so each tenant's timeline replays from version 1.
         """
         return {
-            name: report.verify(self._hashes[name], initial_records=[])
+            name: report.verify(self._hashes[name])
             for name, report in self.per_tenant.items()
         }
 
@@ -139,39 +100,34 @@ class GatewayLoadReport:
 def run_loopback_load(
     address: tuple[str, int],
     tenants: Sequence[TenantSpec],
-    spec: GatewayLoadSpec | None = None,
+    spec: LoadSpec | None = None,
 ) -> GatewayLoadReport:
     """Drive the gateway at *address* and return the verifiable report.
 
-    *tenants* accepts :class:`TenantSpec` entries or the live
+    *spec* is per tenant: ``spec.clients`` connections each.  *tenants*
+    accepts :class:`TenantSpec` entries or the live
     :class:`~repro.gateway.tenant.Tenant` objects a gateway exposes.
     """
-    spec = spec or GatewayLoadSpec()
+    spec = spec or LoadSpec()
     tenants = [getattr(tenant, "spec", tenant) for tenant in tenants]
     host, port = address
-    per_tenant: dict[str, LoadReport] = {}
-    rejections: dict[str, dict[str, int]] = {}
-    hashes: dict[str, MultiKeyHash] = {}
-    errors: list[str] = []
-    errors_lock = threading.Lock()
+    filesystems = {
+        tenant.name: FileSystem.of(*tenant.fields, m=tenant.devices)
+        for tenant in tenants
+    }
 
-    # Preload sequentially so the concurrent phase starts from a known
-    # version; the writes still flow through the wire and the write log.
-    # A tenant quota small enough to reject preloads counts them like any
-    # other rejection rather than aborting the run.
-    preload_writes: dict[str, list[tuple[int, tuple]]] = {}
-    for tenant in tenants:
-        fs = FileSystem.of(*tenant.fields, m=tenant.devices)
-        hashes[tenant.name] = MultiKeyHash.default(fs)
-        writes: list[tuple[int, tuple]] = []
-        # The serial-replay proof in verify() rebuilds each tenant's file
-        # from version 1, so this run must own the tenant's entire write
-        # history — refuse tenants that were already written to.
-        setup_seed = zlib.crc32(
+    # The serial-replay proof in verify() rebuilds each tenant's file
+    # from version 1, so this run must own the tenant's entire write
+    # history — refuse tenants that were already written to.
+    setup_seeds = {
+        tenant.name: zlib.crc32(
             f"gateway-setup-trace:{spec.seed}:{tenant.name}".encode()
         )
+        for tenant in tenants
+    }
+    for tenant in tenants:
         with GatewayClient(
-            host, port, tenant=tenant.name, trace_seed=setup_seed
+            host, port, tenant=tenant.name, trace_seed=setup_seeds[tenant.name]
         ) as client:
             existing = int(client.stats().get("write_version", 0))
         if existing:
@@ -180,203 +136,96 @@ def run_loopback_load(
                 f"{existing}; run_loopback_load needs fresh tenants so "
                 f"verify() can replay the full write history"
             )
-        if spec.preload:
-            rng = random.Random(f"gateway-preload:{spec.seed}:{tenant.name}")
-            codes = rejections.setdefault(tenant.name, {})
-            with GatewayClient(
-                host, port, tenant=tenant.name, trace_seed=~setup_seed
-            ) as client:
-                for __ in range(spec.preload):
-                    record = tuple(
-                        rng.randrange(4096) for __ in range(fs.n_fields)
-                    )
-                    try:
-                        __, version = client.insert(record)
-                    except GatewayRequestError as error:
-                        codes[error.code] = codes.get(error.code, 0) + 1
-                    else:
-                        writes.append((version, record))
-        preload_writes[tenant.name] = writes
 
-    lock = threading.Lock()
-    threads: list[threading.Thread] = []
-    barrier = threading.Barrier(
-        len(tenants) * spec.connections_per_tenant + 1
+    # Preload one client per tenant, so the concurrent phase starts from
+    # a known version; the writes still flow through the wire and the
+    # write log.  A tenant quota small enough to reject preloads counts
+    # them like any other rejection rather than aborting the run.
+    preloaded = preload(
+        lambda name: GatewayClient(
+            host, port, tenant=name, trace_seed=~setup_seeds[name]
+        ),
+        filesystems,
+        spec,
+        "gateway-preload",
+        classify=_rejected,
     )
 
-    def connection_loop(tenant: TenantSpec, connection: int) -> None:
-        fs = FileSystem.of(*tenant.fields, m=tenant.devices)
-        ops = _connection_ops(fs, tenant.name, connection, spec)
-        requests: list[RequestRecord] = []
-        writes: list[tuple[int, tuple]] = []
-        rejected: dict[str, int] = {}
-        try:
-            client = GatewayClient(
-                host,
-                port,
-                tenant=tenant.name,
-                fields=tenant.fields,
-                devices=tenant.devices,
-                # Deterministic wire-trace ids: the same derivation family
-                # as _connection_ops, so two identical runs stamp the same
-                # trace id onto the same request.
-                trace_seed=zlib.crc32(
-                    f"gateway-trace:{spec.seed}:{tenant.name}:{connection}".encode()
-                ),
-            )
-        except OSError as error:
-            with errors_lock:
-                errors.append(
-                    f"{tenant.name}#{connection}: connect failed: {error!r}"
-                )
-            barrier.wait()
-            return
-        try:
-            barrier.wait()
-            for index, (kind, payload) in enumerate(ops):
-                try:
-                    if kind == "insert":
-                        __, version = client.insert(payload)
-                        writes.append((version, payload))
-                    elif kind == "batch":
-                        started = time.perf_counter()
-                        results = client.batch(
-                            payload, deadline_ms=spec.deadline_ms
-                        )
-                        latency_ms = (time.perf_counter() - started) * 1000.0
-                        for result in results:
-                            requests.append(
-                                RequestRecord(
-                                    connection, index, result.query,
-                                    result, latency_ms,
-                                )
-                            )
-                    else:
-                        started = time.perf_counter()
-                        result = client.query(
-                            payload, deadline_ms=spec.deadline_ms
-                        )
-                        latency_ms = (time.perf_counter() - started) * 1000.0
-                        requests.append(
-                            RequestRecord(
-                                connection, index, result.query, result,
-                                latency_ms,
-                            )
-                        )
-                except GatewayRequestError as error:
-                    rejected[error.code] = rejected.get(error.code, 0) + 1
-        except BaseException as error:
-            with errors_lock:
-                errors.append(f"{tenant.name}#{connection}: {error!r}")
-        finally:
-            client.close()
-        with lock:
-            report = per_tenant[tenant.name]
-            report.requests.extend(requests)
-            report.writes.extend(writes)
-            codes = rejections.setdefault(tenant.name, {})
-            for code, count in rejected.items():
-                codes[code] = codes.get(code, 0) + count
+    slots = [
+        (tenant, connection)
+        for tenant in tenants
+        for connection in range(spec.clients)
+    ]
 
-    for tenant in tenants:
-        per_tenant[tenant.name] = LoadReport(
-            spec=LoadSpec(
-                clients=spec.connections_per_tenant,
-                requests_per_client=spec.requests_per_connection,
-                seed=spec.seed,
-                spec_probability=spec.spec_probability,
-                write_every=spec.write_every,
-                hot_fraction=spec.hot_fraction,
-                hot_pool=spec.hot_pool,
-                deadline_ms=spec.deadline_ms,
+    def connect(slot: int) -> GatewayClient:
+        tenant, connection = slots[slot]
+        return GatewayClient(
+            host,
+            port,
+            tenant=tenant.name,
+            fields=tenant.fields,
+            devices=tenant.devices,
+            # Deterministic wire-trace ids: the same derivation family as
+            # the op log, so two identical runs stamp the same trace id
+            # onto the same request.
+            trace_seed=zlib.crc32(
+                f"gateway-trace:{spec.seed}:{tenant.name}:{connection}".encode()
             ),
-            wall_s=0.0,
-            writes=list(preload_writes[tenant.name]),
         )
-        for connection in range(spec.connections_per_tenant):
-            threads.append(
-                threading.Thread(
-                    target=connection_loop,
-                    args=(tenant, connection),
-                    name=f"gwload-{tenant.name}-{connection}",
-                )
-            )
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    started = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    wall_s = time.perf_counter() - started
-    for report in per_tenant.values():
-        report.wall_s = wall_s
 
+    logs, wall_s = run_clients(
+        connect, _connection_logs(slots, spec), spec.deadline_ms, _rejected
+    )
+    per_tenant: dict[str, LoadReport] = {}
+    rejections: dict[str, dict[str, int]] = {}
+    for position, name in enumerate(filesystems):
+        tenant_preload = preloaded[position : position + 1]
+        tenant_logs = [
+            log for (tenant, __), log in zip(slots, logs) if tenant.name == name
+        ]
+        per_tenant[name] = LoadReport.collect(
+            spec, wall_s, tenant_logs, tenant_preload
+        )
+        codes = rejections[name] = {}
+        for log in tenant_preload + tenant_logs:
+            for __, status, __ in log.outcomes:
+                if status.startswith("rejected:"):
+                    code = status.split(":", 1)[1]
+                    codes[code] = codes.get(code, 0) + 1
     return GatewayLoadReport(
         spec=spec,
         wall_s=wall_s,
         per_tenant=per_tenant,
         rejections=rejections,
-        errors=errors,
-        _hashes=hashes,
+        errors=[log.error for log in preloaded + logs if log.error],
+        _hashes={
+            name: MultiKeyHash.default(fs) for name, fs in filesystems.items()
+        },
     )
 
 
-def _connection_ops(
-    fs: FileSystem, tenant: str, connection: int, spec: GatewayLoadSpec
-) -> list[tuple[str, object]]:
-    """The deterministic op log of one connection.
-
-    ``("query", {field: value})``, ``("insert", record)`` and
-    ``("batch", [specified, ...])`` tuples — independent of scheduling, so
-    the same spec always produces the same wire traffic.
-    """
-    rng = random.Random(f"gateway-load:{spec.seed}:{tenant}:{connection}")
-    # PYTHONHASHSEED randomises str hashes; crc32 keeps the per-tenant
-    # streams deterministic across processes.
-    tenant_salt = zlib.crc32(tenant.encode("utf-8")) & 0xFFFF
-    workload = QueryWorkload(
-        fs,
-        WorkloadSpec(
-            spec_probability=spec.spec_probability,
-            exclude_trivial=True,
-            seed=(spec.seed * 104729 + connection + 1) ^ tenant_salt,
-        ),
-    )
-    hot_workload = QueryWorkload(
-        fs,
-        WorkloadSpec(
-            spec_probability=spec.spec_probability,
-            exclude_trivial=True,
-            seed=(spec.seed * 7919 + 1) ^ tenant_salt,
-        ),
-    )
-    hot = [
-        _specified_of(query)
-        for query in hot_workload.take(max(1, spec.hot_pool))
+def _connection_logs(
+    slots: Sequence[tuple[TenantSpec, int]], spec: LoadSpec
+) -> list[tuple[str, int, list]]:
+    """The ``(label, connection, ops)`` log of each ``(tenant,
+    connection)`` slot, for :func:`~repro.service.loadgen.run_clients`."""
+    return [
+        (
+            f"{tenant.name}#{connection}",
+            connection,
+            op_log(
+                FileSystem.of(*tenant.fields, m=tenant.devices),
+                spec,
+                connection,
+                tenant.name,
+            ),
+        )
+        for tenant, connection in slots
     ]
-    ops: list[tuple[str, object]] = []
-    for index in range(spec.requests_per_connection):
-        if spec.write_every and (index + 1) % spec.write_every == 0:
-            record = tuple(
-                rng.randrange(4096) for __ in range(fs.n_fields)
-            )
-            ops.append(("insert", record))
-        elif spec.batch_every and (index + 1) % spec.batch_every == 0:
-            ops.append(
-                (
-                    "batch",
-                    [
-                        _specified_of(workload.next_query())
-                        for __ in range(spec.batch_size)
-                    ],
-                )
-            )
-        elif hot and rng.random() < spec.hot_fraction:
-            ops.append(("query", hot[rng.randrange(len(hot))]))
-        else:
-            ops.append(("query", _specified_of(workload.next_query())))
-    return ops
 
 
-def _specified_of(query) -> dict[int, int]:
-    return dict(query.specified_items())
+def _rejected(error: Exception) -> tuple[str, int] | None:
+    """A coded gateway reply as an op outcome; anything else is an error."""
+    if isinstance(error, GatewayRequestError):
+        return f"rejected:{error.code}", 1
+    return None

@@ -214,13 +214,8 @@ class ObservedOptimalityChecker:
     True
     """
 
-    def __init__(self, method, telemetry=None):
-        if telemetry is None:
-            from repro.obs import telemetry as global_telemetry
-
-            telemetry = global_telemetry()
+    def __init__(self, method):
         self.method = method
-        self.telemetry = telemetry
 
     def replay(self, queries, batched: bool = False) -> ObservedCheckReport:
         """Execute *queries* against an (empty) partitioned file and check.
@@ -235,15 +230,19 @@ class ObservedOptimalityChecker:
         the bound is verified against what the *batched* read path
         actually did, not just the serial one.
         """
+        from repro.obs import telemetry
         from repro.storage.parallel_file import PartitionedFile
 
-        if not self.telemetry.enabled:
+        # The executor and the engine record through the global tracer,
+        # so the global telemetry is the only place their spans land.
+        current = telemetry()
+        if not current.enabled:
             raise AnalysisError(
                 "telemetry is disabled; the observed checker reads spans "
                 "(configure(enabled=True) first)"
             )
         queries = list(queries)
-        events = self.telemetry.events
+        events = current.events
         if batched:
             from repro.engine.batch import BatchEngine
 
@@ -307,9 +306,15 @@ class ObservedOptimalityChecker:
         remote hop the server marked when it resumed the wire context —
         is attributed to that tenant; untenanted spans report as ``""``.
         """
-        from repro.obs.profile import resolve_tenant, span_index
+        from repro.obs.profile import _walkable, resolve_tenant, span_index
 
         spans = [r for r in records if r.get("type") == "span"]
+        for position, record in enumerate(spans):
+            if not _walkable(record):
+                raise AnalysisError(
+                    f"span record {position}: needs integer trace, id and "
+                    "parent (or null) and an attrs object"
+                )
         index = span_index(spans)
         report = TraceAuditReport()
 
@@ -319,13 +324,22 @@ class ObservedOptimalityChecker:
             described = attrs.get("query")
             if observed is None or qualified is None or described is None:
                 return
+            if not (
+                _is_int(qualified)
+                and isinstance(observed, list)
+                and all(_is_int(count) for count in observed)
+            ):
+                raise AnalysisError(
+                    f"span {record['id']}: qualified must be an integer "
+                    "and buckets_per_device a list of integers"
+                )
             report.observations.append(
                 TraceAuditObservation(
                     tenant=resolve_tenant(record, index),
                     trace=record.get("trace", 0),
                     span=record["id"],
                     query=str(described),
-                    qualified=int(qualified),
+                    qualified=qualified,
                     observed_per_device=tuple(observed),
                 )
             )
@@ -360,6 +374,10 @@ class ObservedOptimalityChecker:
                 f"{expected} were replayed"
             )
         return per_query
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _replayed(events, appended_before: int) -> list[dict]:

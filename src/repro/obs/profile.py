@@ -112,6 +112,17 @@ def span_index(records: Iterable[Mapping]) -> dict[tuple[int, int], Mapping]:
     }
 
 
+def _walkable(span: Mapping) -> bool:
+    """Does *span* carry what a parent walk over :func:`span_index` reads?"""
+    parent = span.get("parent")
+    return (
+        isinstance(span.get("trace"), int)
+        and isinstance(span.get("id"), int)
+        and (parent is None or isinstance(parent, int))
+        and isinstance(span.get("attrs", {}), dict)
+    )
+
+
 def _lineage(
     record: Mapping, index: Mapping[tuple[int, int], Mapping]
 ) -> Iterator[Mapping]:

@@ -53,6 +53,7 @@ from repro.gateway import (
     encode_frame,
 )
 from repro.runtime import RetryPolicy
+from repro.service import LoadSpec
 
 FIELDS = (4, 4)
 DEVICES = 4
@@ -462,14 +463,16 @@ class TestRestartableGateway:
 # The harness: invariants under randomized chaos
 # ----------------------------------------------------------------------
 def _run(spec_kwargs=None, tenants=("alpha",)):
-    spec = ChaosSpec(
-        connections_per_tenant=2,
-        requests_per_connection=8,
+    spec_kwargs = dict(spec_kwargs or {})
+    load = LoadSpec(
+        clients=2,
+        requests_per_client=8,
         write_every=3,
         preload=2,
-        timeout_s=5.0,
-        retry=FAST_RETRY,
-        **(spec_kwargs or {}),
+        seed=spec_kwargs.pop("seed", 0),
+    )
+    spec = ChaosSpec(
+        load=load, timeout_s=5.0, retry=FAST_RETRY, **spec_kwargs
     )
     return run_chaos_load([_spec(name) for name in tenants], spec)
 
@@ -569,7 +572,7 @@ class TestChaosHarness:
         with pytest.raises(ConfigurationError):
             ChaosSpec(crash_at=1.5)
         with pytest.raises(ConfigurationError):
-            ChaosSpec(connections_per_tenant=0)
+            ChaosSpec(load=LoadSpec(clients=0))
         with pytest.raises(ConfigurationError):
             ChaosSpec(timeout_s=0.0)
 

@@ -33,7 +33,6 @@ from repro.gateway import (
     Gateway,
     GatewayClient,
     GatewayConfig,
-    GatewayLoadSpec,
     GatewayRequestError,
     TenantSpec,
     TokenBucket,
@@ -42,11 +41,10 @@ from repro.gateway import (
     run_loopback_load,
 )
 from repro.gateway import protocol
-from repro.gateway.loadtest import _connection_ops
 from repro.hashing.fields import FileSystem
 from repro.query.partial_match import PartialMatchQuery
 from repro.service.frontend import ServiceResult
-from repro.service.loadgen import LoadReport, RequestRecord
+from repro.service.loadgen import LoadReport, LoadSpec, RequestRecord, op_log
 from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
 
@@ -612,19 +610,19 @@ class TestLifecycle:
 class TestLoopbackLoad:
     def test_connection_ops_are_deterministic(self):
         fs = FileSystem.of(*FIELDS, m=DEVICES)
-        spec = GatewayLoadSpec(write_every=3, batch_every=5)
-        first = _connection_ops(fs, "alpha", 0, spec)
-        second = _connection_ops(fs, "alpha", 0, spec)
+        spec = LoadSpec(write_every=3, batch_every=5)
+        first = op_log(fs, spec, 0, "alpha")
+        second = op_log(fs, spec, 0, "alpha")
         assert first == second
         # Different tenants and connections get different streams.
-        assert first != _connection_ops(fs, "beta", 0, spec)
-        assert first != _connection_ops(fs, "alpha", 1, spec)
+        assert first != op_log(fs, spec, 0, "beta")
+        assert first != op_log(fs, spec, 1, "alpha")
 
     def test_multi_tenant_load_has_zero_stale_reads(self, gateway_factory):
         gateway, address = gateway_factory(tenants=("alpha", "beta"))
-        spec = GatewayLoadSpec(
-            connections_per_tenant=4,  # 2 tenants x 4 = 8 concurrent conns
-            requests_per_connection=15,
+        spec = LoadSpec(
+            clients=4,  # 2 tenants x 4 = 8 concurrent conns
+            requests_per_client=15,
             write_every=3,
             batch_every=7,
             preload=8,
@@ -644,14 +642,8 @@ class TestLoopbackLoad:
         assert set(data["tenants"]) == {"alpha", "beta"}
 
     def test_quota_sheds_match_counters_under_load(self, gateway_factory):
-        spec = GatewayLoadSpec(
-            connections_per_tenant=2,
-            requests_per_connection=6,
-            preload=2,
-        )
-        total = spec.preload + (
-            spec.connections_per_tenant * spec.requests_per_connection
-        )
+        spec = LoadSpec(clients=2, requests_per_client=6, preload=2)
+        total = spec.preload + spec.clients * spec.requests_per_client
         excess = 4
         gateway, address = gateway_factory(
             tenants={
@@ -684,9 +676,7 @@ class TestLoopbackLoad:
             run_loopback_load(
                 address,
                 list(gateway.tenants.values()),
-                GatewayLoadSpec(
-                    connections_per_tenant=1, requests_per_connection=1
-                ),
+                LoadSpec(clients=1, requests_per_client=1),
             )
 
 

@@ -21,18 +21,21 @@ from repro import obs
 from repro.api import make_gateway
 from repro.cli import main
 from repro.envelope import versioned
-from repro.errors import ConfigurationError, ProtocolError, ReproError
+from repro.errors import (
+    AnalysisError,
+    ConfigurationError,
+    ProtocolError,
+    ReproError,
+)
 from repro.gateway import (
     FrameDecoder,
     Gateway,
     GatewayClient,
-    GatewayLoadSpec,
     GatewayRequestError,
     encode_frame,
     protocol,
     run_loopback_load,
 )
-from repro.gateway.loadtest import _connection_ops
 from repro.hashing.fields import FileSystem
 from repro.obs import (
     ManualClock,
@@ -59,6 +62,7 @@ from repro.obs.profile import (
 )
 from repro.obs.spans import Span, Tracer
 from repro.query.partial_match import PartialMatchQuery
+from repro.service.loadgen import LoadSpec, op_log
 
 FIELDS = (4, 4)
 DEVICES = 4
@@ -697,6 +701,21 @@ class TestTraceAudit:
         report = ObservedOptimalityChecker.audit_trace(records)
         assert report.queries == 0
 
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda span: span.pop("id"),
+            lambda span: span["attrs"].update(qualified="four"),
+            lambda span: span["attrs"].update(buckets_per_device=4),
+        ],
+        ids=["span-without-id", "non-integer-qualified", "non-list-buckets"],
+    )
+    def test_malformed_record_fails_typed(self, malform):
+        records = _synthetic_records()
+        malform(records[2])  # the served query.execute span
+        with pytest.raises(AnalysisError):
+            ObservedOptimalityChecker.audit_trace(records)
+
 
 # ======================================================================
 # Loopback propagation: one trace tree across the wire
@@ -704,9 +723,9 @@ class TestTraceAudit:
 class TestLoopbackPropagation:
     def test_every_service_span_carries_gateway_trace(self, gateway_factory):
         gateway, address = gateway_factory()
-        spec = GatewayLoadSpec(
-            connections_per_tenant=3,
-            requests_per_connection=12,
+        spec = LoadSpec(
+            clients=3,
+            requests_per_client=12,
             seed=3,
             write_every=5,
             batch_every=4,
@@ -752,9 +771,9 @@ class TestLoopbackPropagation:
             report = run_loopback_load(
                 address,
                 list(gateway.tenants.values()),
-                GatewayLoadSpec(
-                    connections_per_tenant=2,
-                    requests_per_connection=5,
+                LoadSpec(
+                    clients=2,
+                    requests_per_client=5,
                     seed=11,
                 ),
             )
@@ -786,9 +805,7 @@ class TestLoopbackPropagation:
         report = run_loopback_load(
             address,
             list(gateway.tenants.values()),
-            GatewayLoadSpec(
-                connections_per_tenant=2, requests_per_connection=8, seed=1
-            ),
+            LoadSpec(clients=2, requests_per_client=8, seed=1),
         )
         assert not report.errors
         with GatewayClient(*address, tenant="alpha") as client:
@@ -814,9 +831,9 @@ class TestLoopbackPropagation:
         report = run_loopback_load(
             address,
             list(gateway.tenants.values()),
-            GatewayLoadSpec(
-                connections_per_tenant=1,
-                requests_per_connection=8,
+            LoadSpec(
+                clients=1,
+                requests_per_client=8,
                 seed=2,
                 batch_every=2,
             ),
@@ -836,7 +853,7 @@ class TestLoopbackPropagation:
 # Profiler exactness over a deterministic wire workload
 # ======================================================================
 class TestProfilerExactness:
-    def _expected_patterns(self, spec: GatewayLoadSpec) -> dict[str, int]:
+    def _expected_patterns(self, spec: LoadSpec) -> dict[str, int]:
         fs = FileSystem.of(*FIELDS, m=DEVICES)
         expected: dict[str, int] = {}
 
@@ -845,10 +862,8 @@ class TestProfilerExactness:
             pattern = pattern_of_query(query)
             expected[pattern] = expected.get(pattern, 0) + 1
 
-        for connection in range(spec.connections_per_tenant):
-            for kind, payload in _connection_ops(
-                fs, "gamma", connection, spec
-            ):
+        for connection in range(spec.clients):
+            for kind, payload in op_log(fs, spec, connection, "gamma"):
                 if kind == "query":
                     count(payload)
                 elif kind == "batch":
@@ -856,7 +871,7 @@ class TestProfilerExactness:
                         count(specified)
         return expected
 
-    def _profile_json(self, gateway_factory, spec: GatewayLoadSpec) -> str:
+    def _profile_json(self, gateway_factory, spec: LoadSpec) -> str:
         obs.configure(clock=ManualClock(step=0.001), reset=True)
         # Default serving options: cache hits and coalesced followers
         # must be counted as well as the reads that reach the executor.
@@ -873,9 +888,9 @@ class TestProfilerExactness:
     def test_profile_matches_generator_exactly(self, gateway_factory):
         # Deliberately skewed mix: 60% of queries drawn from a 2-query
         # hot pool, the rest from the seeded workload stream.
-        spec = GatewayLoadSpec(
-            connections_per_tenant=2,
-            requests_per_connection=15,
+        spec = LoadSpec(
+            clients=2,
+            requests_per_client=15,
             seed=5,
             batch_every=4,
             batch_size=3,

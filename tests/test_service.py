@@ -26,6 +26,7 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service.admission import ADMITTED, SHED, TIMEOUT
+from repro.service.loadgen import op_log
 from repro.storage.bucket_store import BucketStore
 from repro.storage.executor import QueryExecutor
 from repro.storage.parallel_file import PartitionedFile
@@ -325,14 +326,13 @@ class TestSingleQueryFetch:
 class TestSoak:
     def test_interleaved_soak_zero_stale_reads(self):
         service = _service(records=0, max_concurrent=8, queue_limit=64)
-        initial = [(i, i % 5) for i in range(32)]
-        service.file.insert_all(initial)
         spec = LoadSpec(
             clients=8,
             requests_per_client=40,
             seed=3,
             write_every=3,
             hot_fraction=0.5,
+            preload=32,
         )
         report = LoadGenerator(service, spec).run()
 
@@ -342,16 +342,12 @@ class TestSoak:
         assert counts.get("timeout", 0) == 0
         assert counts.get("ok") == len(report.requests)
         # serial replay: byte-identical records, zero stale reads
-        mismatches = report.verify(
-            service.file.multikey_hash, initial_records=initial
-        )
+        mismatches = report.verify(service.file.multikey_hash)
         assert mismatches == []
 
     def test_soak_with_cache_sees_hits_and_stays_fresh(self):
         obs.reset_telemetry()
         service = _service(records=0, cache_capacity=64, max_concurrent=8)
-        initial = [(i, i % 5) for i in range(32)]
-        service.file.insert_all(initial)
         spec = LoadSpec(
             clients=8,
             requests_per_client=30,
@@ -359,12 +355,11 @@ class TestSoak:
             write_every=6,
             hot_fraction=0.7,
             hot_pool=3,
+            preload=32,
         )
         report = LoadGenerator(service, spec).run()
         assert report.errors == []
-        assert report.verify(
-            service.file.multikey_hash, initial_records=initial
-        ) == []
+        assert report.verify(service.file.multikey_hash) == []
         stats = service.cache.stats
         assert stats.exact_hits + stats.subsumption_hits > 0
         assert stats.write_invalidations > 0
@@ -377,17 +372,14 @@ class TestLoadGenerator:
     def test_client_ops_deterministic_across_generators(self):
         spec = LoadSpec(clients=3, requests_per_client=20, seed=7,
                         write_every=4, hot_fraction=0.3)
-        first = LoadGenerator(_service(), spec)
-        second = LoadGenerator(_service(), spec)
+        first, second = (_service().file.filesystem for __ in range(2))
         for client in range(spec.clients):
-            assert first.client_ops(client) == second.client_ops(client)
+            assert op_log(first, spec, client) == op_log(second, spec, client)
 
     def test_different_seeds_differ(self):
         base = LoadSpec(clients=1, requests_per_client=20, seed=1)
         other = LoadSpec(clients=1, requests_per_client=20, seed=2)
-        assert LoadGenerator(_service(), base).client_ops(0) != LoadGenerator(
-            _service(), other
-        ).client_ops(0)
+        assert op_log(FS, base, 0) != op_log(FS, other, 0)
 
     def test_spec_validated(self):
         with pytest.raises(ConfigurationError):
@@ -408,6 +400,22 @@ class TestLoadGenerator:
         assert report.throughput_qps > 0
         with pytest.raises(ConfigurationError):
             report.latency_percentile(1.5)
+
+    def test_batches_and_preload_run_in_process(self):
+        service = _service(records=0)
+        spec = LoadSpec(clients=2, requests_per_client=12, seed=4,
+                        write_every=4, batch_every=3, batch_size=2,
+                        preload=5)
+        report = LoadGenerator(service, spec).run()
+        assert report.errors == []
+        # Per client: ops 4, 8 and 12 insert; 3, 6 and 9 are batches of
+        # two; the other six are single queries.
+        assert len(report.writes) == 2 * 3
+        assert len(report.requests) == 2 * (3 * 2 + 6)
+        assert any(r.result.batched for r in report.requests)
+        assert [version for version, __ in report.preloaded] == [1, 2, 3, 4, 5]
+        assert report.to_dict()["writes"] == 6
+        assert report.verify(service.file.multikey_hash) == []
 
 
 # ----------------------------------------------------------------------
