@@ -9,6 +9,7 @@ from repro.core.fx import FXDistribution
 from repro.distribution.replicated import ChainedReplicaScheme
 from repro.hashing.fields import FileSystem
 from repro.query.partial_match import PartialMatchQuery
+from repro.runtime import DegradedExecutor, FaultPlan
 from repro.storage.replicated_file import ReplicatedFile
 from repro.util.tables import format_table
 
@@ -22,11 +23,10 @@ def _loaded():
 
 
 def bench_degraded_execution(benchmark, show):
-    rf = _loaded()
-    rf.fail_device(3)
+    runtime = DegradedExecutor(_loaded(), FaultPlan.fail([3]))
     query = PartialMatchQuery.full_scan(FS)
-    result = benchmark(rf.execute, query)
-    histogram = rf.degraded_histogram(query)
+    result = benchmark(runtime.execute, query)
+    histogram = result.buckets_per_device
     assert histogram[3] == 0
     ideal = FS.bucket_count / FS.m
     # neighbour absorbs the failed share; everyone else stays at ideal
@@ -43,7 +43,7 @@ def bench_degraded_execution(benchmark, show):
 
 
 def bench_healthy_execution(benchmark):
-    rf = _loaded()
+    runtime = DegradedExecutor(_loaded())
     query = PartialMatchQuery.full_scan(FS)
-    result = benchmark(rf.execute, query)
-    assert result.served_by_backup == 0
+    result = benchmark(runtime.execute, query)
+    assert result.failovers == 0

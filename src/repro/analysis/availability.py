@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 
 from repro.distribution.base import DistributionMethod
-from repro.distribution.replicated import ChainedReplicaScheme
+from repro.distribution.replicated import ChainedReplicaScheme, failover_device
 from repro.errors import AnalysisError
 from repro.storage.costs import DeviceCostModel, UnitCostModel
 
@@ -47,14 +47,14 @@ def survivable(scheme: ChainedReplicaScheme, failed: set[int]) -> bool:
 
     A bucket's replicas are ``(d, d + offset mod M)``; every device is a
     primary for some bucket whenever the base method is surjective (all
-    separable methods here are), so the condition reduces to: no failed
-    device whose offset-neighbour is also failed.
+    separable methods here are), so the condition reduces to: the
+    failover rule finds a live backup for every failed device.
     """
     m = scheme.filesystem.m
     for device in failed:
         if not 0 <= device < m:
             raise AnalysisError(f"no device {device}")
-        if (device + scheme.offset) % m in failed:
+        if failover_device(device, failed, m, scheme.offset) is None:
             return False
     return True
 
@@ -126,10 +126,11 @@ def reroute_histogram(
 ) -> tuple[list[int], int]:
     """Apply a failure set to a per-device response histogram.
 
-    With chained replicas (*offset* given) each failed device's load moves
-    to its backup ``(d + offset) mod M`` when that backup is alive;
-    without, or when the backup is failed too, the load is *lost*.
-    Returns ``(degraded histogram, lost bucket count)``.
+    Each failed device's load moves where
+    :func:`~repro.distribution.replicated.failover_device` sends it: to
+    its chained backup when *offset* is given and that backup is alive,
+    else nowhere (the load is *lost*).  Returns ``(degraded histogram,
+    lost bucket count)``.
 
     >>> reroute_histogram([2, 2, 2, 2], {1}, offset=1)
     ([2, 0, 4, 2], 0)
@@ -146,8 +147,8 @@ def reroute_histogram(
         if load == 0:
             continue
         degraded[device] = 0
-        backup = None if offset is None else (device + offset) % m
-        if backup is None or backup in failed:
+        backup = failover_device(device, failed, m, offset)
+        if backup is None:
             lost += load
         else:
             degraded[backup] += load

@@ -127,6 +127,9 @@ class ChaosReport:
     #: Per-tenant recovery summaries after the restart (``None`` entries
     #: mean that tenant had nothing to recover).
     recovered: dict[str, dict | None] = field(default_factory=dict)
+    #: Ops the clients' logs planned, whether or not a client got to them
+    #: (a client stopped by an unexpected error leaves the rest unrun).
+    total_ops: int = 0
     total_retries: int = 0
     total_reconnects: int = 0
     total_deduped: int = 0
@@ -138,10 +141,6 @@ class ChaosReport:
     # Outcome accounting
     # ------------------------------------------------------------------
     @property
-    def total_ops(self) -> int:
-        return sum(len(ops) for ops in self.outcomes.values())
-
-    @property
     def ok_ops(self) -> int:
         return sum(
             1
@@ -152,7 +151,7 @@ class ChaosReport:
 
     @property
     def availability(self) -> float:
-        """Fraction of chaos-phase ops that ultimately succeeded."""
+        """Fraction of planned chaos-phase ops that ultimately succeeded."""
         total = self.total_ops
         return 1.0 if total == 0 else self.ok_ops / total
 
@@ -478,6 +477,7 @@ def run_chaos_load(
             for key, endpoint in zip(keys, endpoints)
         },
         recovered=recovered,
+        total_ops=sum(len(ops) for __, __, ops in client_logs),
         total_retries=sum(client.retries for client in clients),
         total_reconnects=sum(client.reconnects for client in clients),
         total_deduped=sum(client.deduped for client in clients),

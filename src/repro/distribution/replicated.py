@@ -8,18 +8,41 @@ read load lands on a neighbour instead of a single mirror.
 
 :class:`ChainedReplicaScheme` wraps a primary
 :class:`~repro.distribution.base.DistributionMethod` and derives backup
-placement by a fixed device offset.  It deliberately stays a *placement*
-object — the storage integration (dual writes, failure masking, degraded
-reads) lives in :mod:`repro.storage.replicated_file`.
+placement by a fixed device offset, and :func:`failover_device` is the
+one failover rule: every reader of a failure set (the availability
+analysis, the fault-aware simulator, the degraded executor) applies it.
+This module deliberately stays *placement*: the dual writes live in
+:mod:`repro.storage.replicated_file`, and the reads around failed devices
+in :class:`~repro.runtime.degraded.DegradedExecutor`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Collection
 
 from repro.distribution.base import DistributionMethod
 from repro.errors import ConfigurationError
 from repro.hashing.fields import Bucket
 
-__all__ = ["ChainedReplicaScheme"]
+__all__ = ["ChainedReplicaScheme", "failover_device"]
+
+
+def failover_device(
+    device: int, failed: Collection[int], m: int, offset: int | None
+) -> int | None:
+    """The device that reads a down *device*'s primary share, if any.
+
+    The share goes to the chained backup ``(device + offset) mod m`` when
+    that device is not in *failed*, and is lost (``None``) otherwise, or
+    when there are no replicas (*offset* ``None``).
+
+    >>> failover_device(3, {3}, 8, 1), failover_device(3, {3, 4}, 8, 1)
+    (4, None)
+    """
+    if offset is None:
+        return None
+    backup = (device + offset) % m
+    return None if backup in failed else backup
 
 
 class ChainedReplicaScheme:
@@ -56,7 +79,7 @@ class ChainedReplicaScheme:
         return self.base.device_of(bucket)
 
     def backup_of(self, bucket: Bucket) -> int:
-        return (self.base.device_of(bucket) + self.offset) % self.filesystem.m
+        return self.replicas_of(bucket)[1]
 
     def replicas_of(self, bucket: Bucket) -> tuple[int, int]:
         """(primary, backup) device pair for one bucket."""

@@ -1,8 +1,8 @@
 """Durability and self-healing: the layer that survives real failures.
 
-PR 2's runtime masks *transient* faults (retries, failover); this package
-closes the loop on the *persistent* ones the declustering literature
-spreads data across devices to survive:
+:mod:`repro.runtime` masks *transient* faults (retries, failover); this
+package closes the loop on the *persistent* ones the declustering
+literature spreads data across devices to survive:
 
 * :mod:`repro.durability.checksum` — canonical record encoding and CRC
   page checksums,
@@ -24,11 +24,11 @@ spreads data across devices to survive:
   device loss handled by reconstructing the lost buckets from replicas
   and re-verifying the ``ceil(|R(q)|/M)`` optimality bound.
 
-Corruption and crash schedules come from the same seeded splitmix64
-stream as every other fault (:class:`~repro.runtime.faults.FaultPlan`
-``corruption_rate`` / ``crash_after_writes``), so every failure scenario
-in tests and the ``python -m repro recover`` CLI is exactly
-reproducible.
+Corruption schedules come from the same seeded splitmix64 stream as
+every other fault (:class:`~repro.runtime.faults.FaultPlan`
+``corruption_rate``), and crashes land on a record boundary a
+:class:`CrashPoint` names, so every failure scenario in tests and the
+``python -m repro recover`` CLI is exactly reproducible.
 """
 
 from repro.durability.checksum import encode_page, page_checksum

@@ -19,7 +19,7 @@ recovered file passes ``check_invariants`` or recovery itself fails.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.durability.wal import CrashPoint, WriteAheadLog
@@ -116,6 +116,11 @@ def recover(wal: WriteAheadLog | bytes, file) -> RecoveryReport:
 class DurableFile:
     """A partitioned or replicated file fronted by a write-ahead log.
 
+    It logs writes only.  Reads go to :attr:`file`, through a
+    :class:`~repro.runtime.degraded.DegradedExecutor` (whose fault plan
+    names any failed devices) or, for a partitioned file, a
+    :class:`~repro.storage.executor.QueryExecutor`.
+
     >>> from repro.api import make_durable_file
     >>> durable = make_durable_file("fx", fields=(4, 4), devices=4)
     >>> __ = durable.insert((3, 1))
@@ -144,18 +149,6 @@ class DurableFile:
     def delete(self, record: Sequence[object]) -> bool:
         self.wal.append_delete(record)
         return self.file.delete(record)
-
-    # ------------------------------------------------------------------
-    # Reads (pass-through)
-    # ------------------------------------------------------------------
-    def query(self, specified: Mapping[int, object]):
-        return self.file.query(specified)
-
-    def execute(self, query):
-        return self.file.execute(query)
-
-    def search(self, specified: Mapping[int, object]):
-        return self.file.search(specified)
 
     # ------------------------------------------------------------------
     # Introspection and recovery

@@ -1,11 +1,12 @@
 """Rebuilding a permanently lost device from its chained replicas.
 
-Fail-stop masking (PR 2) survives a device being *down*; this module
-survives a device being *gone* — media loss, the scenario replication
-exists for.  With chained placement every bucket of the lost device has
-its other copy on a neighbour, so :class:`DeviceRebuilder` reconstructs
-the device bucket-for-bucket from the survivors, restores it to service
-and then proves the result:
+Failover (:class:`~repro.runtime.degraded.DegradedExecutor` reading
+around the devices a :class:`~repro.runtime.faults.FaultPlan` fails)
+survives a device being *down*; this module survives a device being
+*gone* — media loss, the scenario replication exists for.  With chained
+placement every bucket of the lost device has its other copy on a
+neighbour, so :class:`DeviceRebuilder` reconstructs the device
+bucket-for-bucket from the survivors and then proves the result:
 
 * ``check_invariants`` — every restored bucket sits on a device the
   replica scheme names, checksums verify,
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import CorruptPageError, RecoveryError, StorageError
-from repro.hashing.fields import Bucket
 from repro.storage.replicated_file import ReplicatedFile
 
 __all__ = ["DeviceRebuilder", "RebuildReport"]
@@ -89,7 +89,7 @@ class DeviceRebuilder:
         self.scheme = file.scheme
 
     def rebuild(self, device_id: int, queries=None) -> RebuildReport:
-        """Reconstruct *device_id*, restore it to service, verify.
+        """Reconstruct *device_id* from its replicas, then verify.
 
         *queries*, when given, drives an
         :class:`~repro.obs.ObservedOptimalityChecker` replay against the
@@ -126,7 +126,6 @@ class DeviceRebuilder:
                     sources.add(partner.device_id)
                     report.buckets_restored += 1
                     report.records_restored += len(records)
-            self.file.restore_device(device_id)
             self.file.check_invariants()
             report.source_devices = tuple(sorted(sources))
             span.set_attr("buckets_restored", report.buckets_restored)

@@ -14,9 +14,10 @@ discarded; a CRC failure *mid-log* means the log itself was corrupted and
 raises :class:`~repro.errors.WalError` — recovery must not silently skip
 interior entries.
 
-Crashes are injected at record boundaries by :class:`CrashPoint`
-(typically derived from a :class:`~repro.runtime.faults.FaultPlan`'s
-``crash_after_writes``): the append that would write entry ``k`` raises
+Crashes are injected at record boundaries by :class:`CrashPoint` (armed
+by ``make_durable_file(crash_after=)``, :meth:`DurableFile.arm_crash
+<repro.durability.durable_file.DurableFile.arm_crash>` or the chaos
+supervisor): the append that would write entry ``k`` raises
 :class:`~repro.errors.SimulatedCrashError` instead, optionally leaving a
 torn half-frame behind.  Because the boundary is data, not chance, tests
 can sweep *every* boundary and assert recovery byte-identity at each one.

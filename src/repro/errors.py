@@ -17,7 +17,6 @@ __all__ = [
     "QueryError",
     "StorageError",
     "DeviceFullError",
-    "DataUnavailableError",
     "CorruptPageError",
     "WalError",
     "RecoveryError",
@@ -76,10 +75,6 @@ class StorageError(ReproError, RuntimeError):
 
 class DeviceFullError(StorageError):
     """A simulated device exceeded its configured capacity."""
-
-
-class DataUnavailableError(StorageError):
-    """Every replica of a needed bucket sits on a failed device."""
 
 
 class CorruptPageError(StorageError):

@@ -1,15 +1,19 @@
 """Fault-tolerant query execution with replica failover and partial results.
 
 :class:`DegradedExecutor` is the runtime counterpart of
-:class:`~repro.storage.executor.QueryExecutor`: it runs the same inverse
-mapping per device, but filters every device interaction through a
-:class:`~repro.runtime.faults.FaultPlan` and a
-:class:`~repro.runtime.retry.RetryPolicy`.  A device that is fail-stopped,
-exhausts its retries or runs past its timeout is *abandoned* for the query;
-its qualified buckets are re-routed to their backup replicas when the file
-is a :class:`~repro.storage.replicated_file.ReplicatedFile`, and otherwise
-reported missing through an explicit ``completeness`` fraction — degraded
-mode never raises for data it merely cannot reach.
+:class:`~repro.storage.executor.QueryExecutor`, and the only read that
+routes around failed devices: it runs the same inverse mapping per
+device, but filters every device interaction through a
+:class:`~repro.runtime.faults.FaultPlan` (the record of which devices are
+down) and a :class:`~repro.runtime.retry.RetryPolicy`.  A device that is
+fail-stopped, exhausts its retries or runs past its timeout is *abandoned*
+for the query; its qualified buckets go where
+:func:`~repro.distribution.replicated.failover_device` sends them — the
+chained backup when the file is a
+:class:`~repro.storage.replicated_file.ReplicatedFile` and that backup is
+up — and are otherwise reported missing through ``lost_buckets`` and an
+explicit ``completeness`` fraction.  Degraded mode never raises for data
+it merely cannot reach.
 
 Records are assembled in primary-device order regardless of which replica
 served them, so a run whose failures are fully covered by replicas returns
@@ -18,12 +22,13 @@ a record list identical to the fault-free run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.distribution.replicated import failover_device
 from repro.hashing.fields import Bucket
 from repro.obs import telemetry, trace_span
 from repro.obs.metrics import default_registry
-from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.faults import FaultInjector, FaultPlan, retry_episode
 from repro.runtime.retry import RetryPolicy
 from repro.storage.executor import ExecutionResult, SingleQueryExecutor
 from repro.util.numbers import ceil_div
@@ -113,9 +118,10 @@ class DegradedExecutor(SingleQueryExecutor):
         seq = self._query_seq
         self._query_seq += 1
         m = self.filesystem.m
+        failed = self.plan.failed_devices
+        offset = None if self.scheme is None else self.scheme.offset
         result = DegradedExecutionResult(
-            query=query,
-            failed_devices=tuple(sorted(self.plan.failed_devices)),
+            query=query, failed_devices=tuple(sorted(failed))
         )
         device_time = [0.0] * m
         served_per_device = [0] * m
@@ -130,47 +136,44 @@ class DegradedExecutor(SingleQueryExecutor):
             for device_id in range(m):
                 assigned = assigned_to(device_id)
                 if not assigned:
-                    records_by_primary[device_id] = []
                     continue
-                if self.injector.is_failed(device_id):
+                if device_id in failed:
                     to_failover.append((device_id, assigned))
                     continue
-                attempts, succeeded = self._attempts_for(device_id, seq)
-                result.retries += attempts - 1
+                attempts, elapsed, busy, served = retry_episode(
+                    self.injector,
+                    self.retry,
+                    device_id,
+                    seq,
+                    self._batch_time(device_id, len(assigned)),
+                    result,
+                )
                 if attempts > 1:
                     span.add_event(
                         "retry", device=device_id, attempts=attempts
                     )
-                batch_ms = self._batch_time(device_id, len(assigned))
-                elapsed = attempts * batch_ms + self.retry.total_backoff_ms(attempts)
-                if not succeeded or self.retry.exceeds_timeout(elapsed):
-                    result.timeouts += 1
+                device_time[device_id] = busy
+                if not served:
                     span.add_event(
                         "timeout",
                         device=device_id,
                         buckets=len(assigned),
                         elapsed_ms=round(elapsed, 6),
                     )
-                    timeout = self.retry.timeout_ms
-                    device_time[device_id] = (
-                        min(elapsed, timeout) if timeout is not None else elapsed
-                    )
                     to_failover.append((device_id, assigned))
                     continue
-                device_time[device_id] = elapsed
                 served_per_device[device_id] += len(assigned)
                 records_by_primary[device_id] = self.file.devices[
                     device_id
                 ].read_buckets(assigned)
 
             for primary, buckets in to_failover:
-                backup = self._backup_for(primary)
+                backup = failover_device(primary, failed, m, offset)
                 if backup is None:
                     result.lost_buckets += len(buckets)
                     span.add_event(
                         "data_loss", device=primary, buckets=len(buckets)
                     )
-                    records_by_primary[primary] = []
                     continue
                 result.failovers += len(buckets)
                 span.add_event(
@@ -215,32 +218,11 @@ class DegradedExecutor(SingleQueryExecutor):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _attempts_for(self, device_id: int, seq: int) -> tuple[int, bool]:
-        """(attempts used, succeeded) for one device batch under the plan."""
-        for attempt in range(1, self.retry.max_attempts + 1):
-            if not self.injector.attempt_fails(device_id, seq, attempt):
-                return attempt, True
-        return self.retry.max_attempts, False
-
     def _batch_time(self, device_id: int, bucket_count: int) -> float:
         device = self.file.devices[device_id]
         return device.cost_model.service_time(
             bucket_count
         ) * self.injector.latency_factor(device_id)
-
-    def _backup_for(self, primary: int) -> int | None:
-        """The live backup device serving *primary*'s buckets, if any.
-
-        Chained placement stores the backup of every bucket whose primary
-        is ``d`` on ``(d + offset) mod M``, so failover is a per-device
-        re-route, not a per-bucket lookup.
-        """
-        if self.scheme is None:
-            return None
-        backup = (primary + self.scheme.offset) % self.filesystem.m
-        if self.injector.is_failed(backup):
-            return None
-        return backup
 
     def _record_counters(self, result: DegradedExecutionResult) -> None:
         record = default_registry().record_perf_work

@@ -1,7 +1,7 @@
 """Deterministic fault models for the execution runtime.
 
 The paper's parallel model assumes all ``M`` devices answer every query;
-this module supplies the three ways a real array breaks that assumption:
+this module supplies the ways a real array breaks that assumption:
 
 * **fail-stop** — a device is down for the whole run (its primaries must
   be served by replicas or reported missing),
@@ -10,15 +10,17 @@ this module supplies the three ways a real array breaks that assumption:
 * **stragglers** — a device is up but slow by a latency factor,
 * **corruption** — a bucket page is silently corrupted with some
   probability per scrub epoch (detected by checksums, repaired from the
-  chained replica — :mod:`repro.durability`),
-* **crash** — the process dies at a deterministic write-ahead-log record
-  boundary (recovered by WAL replay — :mod:`repro.durability.wal`).
+  chained replica — :mod:`repro.durability`).
 
-A :class:`FaultPlan` is a pure description; a :class:`FaultInjector` binds
-it to a concrete array size and answers point questions during execution.
-All randomness is derived by hashing ``(seed, device, query, attempt)``
+A :class:`FaultPlan` is a pure description and the only record of which
+devices are down; a :class:`FaultInjector` binds it to a concrete array
+size and answers point questions during execution, and
+:func:`retry_episode` plays one device's batch through it.  All
+randomness is derived by hashing ``(seed, device, query, attempt)``
 through splitmix64, so outcomes are deterministic, order-independent and
 exactly reproducible — the property every fault-injection test relies on.
+(Process crashes are armed separately, at a write-ahead-log record
+boundary, by :class:`~repro.durability.wal.CrashPoint`.)
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.runtime.retry import RetryPolicy
 from repro.util.numbers import mix64
 
-__all__ = ["FaultPlan", "FaultInjector"]
+__all__ = ["FaultPlan", "FaultInjector", "retry_episode"]
 
 _MASK = (1 << 64) - 1
 #: Odd multipliers decorrelating the coordinates of one attempt draw.
@@ -50,9 +53,7 @@ class FaultPlan:
     is the per-read-attempt failure probability on live devices;
     *slow_factors* maps device id to a latency multiplier (2.0 = half
     speed); *corruption_rate* is the per-page silent-corruption probability
-    per scrub epoch; *crash_after_writes* names the write-ahead-log record
-    boundary at which the process crashes (``None`` = never).  The default
-    plan is fault-free.
+    per scrub epoch.  The default plan is fault-free.
 
     >>> plan = FaultPlan(seed=7, failed_devices=frozenset({2}))
     >>> plan.is_trivial
@@ -66,7 +67,6 @@ class FaultPlan:
     transient_error_rate: float = 0.0
     slow_factors: Mapping[int, float] = field(default_factory=dict)
     corruption_rate: float = 0.0
-    crash_after_writes: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -92,11 +92,6 @@ class FaultPlan:
             raise ConfigurationError(
                 f"corruption rate {self.corruption_rate} outside [0, 1)"
             )
-        if self.crash_after_writes is not None and self.crash_after_writes < 0:
-            raise ConfigurationError(
-                f"crash_after_writes must be non-negative, "
-                f"got {self.crash_after_writes}"
-            )
 
     @classmethod
     def none(cls) -> "FaultPlan":
@@ -113,11 +108,6 @@ class FaultPlan:
         """Silently corrupt pages at *rate* per scrub epoch, nothing else."""
         return cls(seed=seed, corruption_rate=rate)
 
-    @classmethod
-    def crash(cls, after_writes: int, seed: int = 0) -> "FaultPlan":
-        """Crash at WAL record boundary *after_writes*, nothing else."""
-        return cls(seed=seed, crash_after_writes=after_writes)
-
     @property
     def is_trivial(self) -> bool:
         """True when the plan injects no fault of any kind."""
@@ -126,7 +116,6 @@ class FaultPlan:
             and self.transient_error_rate == 0.0
             and all(f == 1.0 for f in self.slow_factors.values())
             and self.corruption_rate == 0.0
-            and self.crash_after_writes is None
         )
 
     def describe(self) -> str:
@@ -139,8 +128,6 @@ class FaultPlan:
             parts.append(f"slow={dict(sorted(self.slow_factors.items()))}")
         if self.corruption_rate:
             parts.append(f"corruption_rate={self.corruption_rate}")
-        if self.crash_after_writes is not None:
-            parts.append(f"crash_after={self.crash_after_writes}")
         return f"FaultPlan({', '.join(parts)})"
 
 
@@ -193,47 +180,60 @@ class FaultInjector:
         ) & _MASK
         return mix64(word) / float(1 << 64) < rate
 
-    def _corruption_draw(self, device: int, page_index: int, sweep: int) -> float:
+    def page_corruption_kind(
+        self, device: int, page_index: int, sweep: int = 0
+    ) -> str | None:
+        """``None`` (clean), ``"drop"`` (page lost) or ``"tamper"`` (bits
+        flipped) for one page.
+
+        A seeded draw hashes ``(seed, device, page_index, sweep)`` through
+        its own salts, so corruption schedules are order-independent and do
+        not perturb the transient-error stream of the same plan.  A page is
+        corrupted with the plan's ``corruption_rate``: the low half of that
+        probability mass loses the page, the high half tampers with it.
+        """
+        rate = self.plan.corruption_rate
+        if rate == 0.0:
+            return None
         word = (
             (self.plan.seed & _MASK)
             ^ (device * _DEVICE_SALT)
             ^ (page_index * _PAGE_SALT)
             ^ (sweep * _SWEEP_SALT)
         ) & _MASK
-        return mix64(word) / float(1 << 64)
-
-    def page_corrupted(self, device: int, page_index: int, sweep: int = 0) -> bool:
-        """Seeded Bernoulli draw: is this page silently corrupted?
-
-        The draw hashes ``(seed, device, page_index, sweep)`` through its
-        own salts, so corruption schedules are order-independent and do not
-        perturb the transient-error stream of the same plan.
-        """
-        rate = self.plan.corruption_rate
-        if rate == 0.0:
-            return False
-        return self._corruption_draw(device, page_index, sweep) < rate
-
-    def page_corruption_kind(
-        self, device: int, page_index: int, sweep: int = 0
-    ) -> str | None:
-        """``None`` (clean), ``"drop"`` (page lost) or ``"tamper"`` (bits
-        flipped) for one page, from the same deterministic draw as
-        :meth:`page_corrupted` — the low half of the corrupted probability
-        mass loses the page, the high half tampers with it.
-        """
-        rate = self.plan.corruption_rate
-        if rate == 0.0:
-            return None
-        draw = self._corruption_draw(device, page_index, sweep)
+        draw = mix64(word) / float(1 << 64)
         if draw >= rate:
             return None
         return "drop" if draw < rate / 2.0 else "tamper"
 
-    def crash_boundary(self) -> int | None:
-        """The WAL record boundary at which the plan crashes, if any."""
-        return self.plan.crash_after_writes
 
-    def alive_devices(self) -> tuple[int, ...]:
-        """Devices not fail-stopped, in id order."""
-        return tuple(d for d in range(self.m) if not self.is_failed(d))
+def retry_episode(
+    injector: FaultInjector,
+    retry: RetryPolicy,
+    device: int,
+    query_index: int,
+    service_ms: float,
+    tally,
+) -> tuple[int, float, float, bool]:
+    """``(attempts, elapsed ms, busy ms, served?)`` of one device's batch.
+
+    Attempts repeat while the injector's seeded draw fails them, up to the
+    policy's cap; the elapsed time is one *service_ms* per attempt plus
+    the backoff between them.  The batch is served unless every attempt
+    failed or the elapsed time ran past the policy's timeout, which then
+    caps the device's busy time.  *tally* (a result or report) counts the
+    retries and the abandoned batch.
+    """
+    attempts, succeeded = retry.max_attempts, False
+    for attempt in range(1, retry.max_attempts + 1):
+        if not injector.attempt_fails(device, query_index, attempt):
+            attempts, succeeded = attempt, True
+            break
+    tally.retries += attempts - 1
+    elapsed = attempts * service_ms + retry.total_backoff_ms(attempts)
+    if succeeded and not retry.exceeds_timeout(elapsed):
+        return attempts, elapsed, elapsed, True
+    tally.timeouts += 1
+    timeout = retry.timeout_ms
+    busy = min(elapsed, timeout) if timeout is not None else elapsed
+    return attempts, elapsed, busy, False

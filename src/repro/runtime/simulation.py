@@ -5,8 +5,10 @@
 failure semantics:
 
 * fail-stop devices never receive tasks — their share of each query is
-  re-routed *at dispatch* to the chained backup device when a replica
-  scheme is attached, and counted as lost otherwise,
+  re-routed *at dispatch* by
+  :func:`~repro.analysis.availability.reroute_histogram` (the chained
+  backup when a replica scheme is attached and that backup is up), and
+  counted as lost otherwise,
 * transient errors repeat a device's batch (seeded, order-independent
   draws) with capped exponential backoff between attempts,
 * stragglers run at their plan latency factor, and a per-device timeout
@@ -20,11 +22,12 @@ so two runs of the same scenario produce byte-identical
 
 from __future__ import annotations
 
+from repro.analysis.availability import reroute_histogram
 from repro.distribution.base import DistributionMethod
 from repro.distribution.replicated import ChainedReplicaScheme
 from repro.errors import ConfigurationError
 from repro.obs.metrics import default_registry
-from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.faults import FaultInjector, FaultPlan, retry_episode
 from repro.runtime.retry import RetryPolicy
 from repro.storage.costs import DeviceCostModel
 from repro.storage.simulator import (  # noqa: F401 (QueryArrival: doctest)
@@ -91,21 +94,10 @@ class FaultAwareQuerySimulator(ParallelQuerySimulator):
         self, histogram: list[int], report: SimulationReport
     ) -> tuple[list[int], int]:
         """Move fail-stopped devices' loads to backups; count what's lost."""
-        m = self.method.filesystem.m
-        tasks = [0] * m
-        lost = 0
-        for device, count in enumerate(histogram):
-            if count == 0:
-                continue
-            if not self.injector.is_failed(device):
-                tasks[device] += count
-                continue
-            backup = self._backup_for(device)
-            if backup is None:
-                lost += count
-            else:
-                tasks[backup] += count
-                report.failovers += count
+        failed = self.plan.failed_devices
+        offset = None if self.scheme is None else self.scheme.offset
+        tasks, lost = reroute_histogram(histogram, failed, offset)
+        report.failovers += sum(histogram[d] for d in failed) - lost
         return tasks, lost
 
     def _device_episode(
@@ -116,33 +108,13 @@ class FaultAwareQuerySimulator(ParallelQuerySimulator):
         report: SimulationReport,
     ) -> tuple[float, bool]:
         """(busy time, batch served?) for one device's share of one query."""
-        attempts, succeeded = self._attempts_for(device, query_index)
-        report.retries += attempts - 1
-        service = (
-            self.cost_model.service_time(bucket_count)
-            / self.speed_factors[device]
+        service, __ = super()._device_episode(
+            device, bucket_count, query_index, report
         )
-        elapsed = attempts * service + self.retry.total_backoff_ms(attempts)
-        if not succeeded or self.retry.exceeds_timeout(elapsed):
-            report.timeouts += 1
-            timeout = self.retry.timeout_ms
-            busy = min(elapsed, timeout) if timeout is not None else elapsed
-            return busy, False
-        return elapsed, True
-
-    def _attempts_for(self, device: int, query_index: int) -> tuple[int, bool]:
-        for attempt in range(1, self.retry.max_attempts + 1):
-            if not self.injector.attempt_fails(device, query_index, attempt):
-                return attempt, True
-        return self.retry.max_attempts, False
-
-    def _backup_for(self, primary: int) -> int | None:
-        if self.scheme is None:
-            return None
-        backup = (primary + self.scheme.offset) % self.method.filesystem.m
-        if self.injector.is_failed(backup):
-            return None
-        return backup
+        __, __, busy, served = retry_episode(
+            self.injector, self.retry, device, query_index, service, report
+        )
+        return busy, served
 
     def _span_attrs(self, report: SimulationReport) -> dict:
         return {

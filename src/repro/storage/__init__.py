@@ -32,11 +32,7 @@ from repro.storage.executor import ExecutionResult, QueryExecutor
 from repro.storage.migration import Migration, MigrationReport, moved_fraction
 from repro.storage.paged_store import PagedBucketStore
 from repro.storage.parallel_file import PartitionedFile
-from repro.storage.replicated_file import (
-    DataUnavailableError,
-    ReplicatedExecutionResult,
-    ReplicatedFile,
-)
+from repro.storage.replicated_file import ReplicatedFile
 from repro.storage.stats import DeviceSnapshot, FileStats, collect_stats
 from repro.storage.simulator import (
     ParallelQuerySimulator,
@@ -67,8 +63,6 @@ __all__ = [
     "CachedExecutor",
     "CacheStats",
     "ReplicatedFile",
-    "ReplicatedExecutionResult",
-    "DataUnavailableError",
     "ParallelQuerySimulator",
     "QueryArrival",
     "SimulationReport",

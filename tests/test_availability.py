@@ -100,13 +100,15 @@ class TestDegradedLoadFactor:
         """The analytic 2x must match the replicated file's observed
         degraded histogram under a balanced base method."""
         from repro.query.partial_match import PartialMatchQuery
+        from repro.runtime import DegradedExecutor, FaultPlan
         from repro.storage.replicated_file import ReplicatedFile
 
         fs = FileSystem.of(8, 8, m=8)
         scheme = ChainedReplicaScheme(FXDistribution(fs))
         rf = ReplicatedFile(scheme)
         query = PartialMatchQuery.full_scan(fs)
-        healthy = rf.degraded_histogram(query)
-        rf.fail_device(2)
-        degraded = rf.degraded_histogram(query)
+        healthy = DegradedExecutor(rf).execute(query).buckets_per_device
+        degraded = DegradedExecutor(rf, FaultPlan.fail([2])).execute(
+            query
+        ).buckets_per_device
         assert degraded[3] == 2 * healthy[3]

@@ -42,7 +42,7 @@ from repro.errors import (
     WalError,
 )
 from repro.obs import ManualClock, MonotonicClock, telemetry
-from repro.runtime import FaultInjector, FaultPlan
+from repro.runtime import DegradedExecutor, FaultInjector, FaultPlan
 from repro.storage.bucket_store import content_digest
 
 
@@ -451,24 +451,20 @@ class TestCorruptionFaults:
             FaultPlan(corruption_rate=1.0)
         with pytest.raises(ConfigurationError):
             FaultPlan(corruption_rate=-0.1)
-        with pytest.raises(ConfigurationError):
-            FaultPlan(crash_after_writes=-1)
         assert FaultPlan.corrupt(0.1).corruption_rate == 0.1
-        assert FaultPlan.crash(5).crash_after_writes == 5
         assert not FaultPlan.corrupt(0.1).is_trivial
-        assert not FaultPlan.crash(0).is_trivial
         assert "corruption" in FaultPlan.corrupt(0.1).describe()
-        assert "crash" in FaultPlan.crash(5).describe()
 
     def test_corruption_draws_deterministic(self):
         injector = FaultInjector(FaultPlan.corrupt(0.3, seed=9), 8)
         again = FaultInjector(FaultPlan.corrupt(0.3, seed=9), 8)
         draws = [
-            injector.page_corrupted(d, p)
+            injector.page_corruption_kind(d, p)
             for d in range(8) for p in range(20)
         ]
         assert draws == [
-            again.page_corrupted(d, p) for d in range(8) for p in range(20)
+            again.page_corruption_kind(d, p)
+            for d in range(8) for p in range(20)
         ]
         assert any(draws) and not all(draws)
 
@@ -479,29 +475,30 @@ class TestCorruptionFaults:
             for d in range(8) for p in range(30)
         }
         assert kinds == {None, "drop", "tamper"}
+        # One draw per page: the same seed at half the rate corrupts a
+        # subset of these pages, and drops a subset of the dropped ones.
+        lower = FaultInjector(FaultPlan.corrupt(0.2, seed=3), 8)
         for d in range(8):
             for p in range(30):
                 kind = injector.page_corruption_kind(d, p)
-                assert (kind is not None) == injector.page_corrupted(d, p)
+                low = lower.page_corruption_kind(d, p)
+                assert low is None or kind is not None
+                assert low != "drop" or kind == "drop"
 
     def test_sweep_index_changes_draws(self):
         injector = FaultInjector(FaultPlan.corrupt(0.3, seed=1), 8)
-        first = [injector.page_corrupted(d, p, 0)
+        first = [injector.page_corruption_kind(d, p, 0)
                  for d in range(8) for p in range(30)]
-        second = [injector.page_corrupted(d, p, 1)
+        second = [injector.page_corruption_kind(d, p, 1)
                   for d in range(8) for p in range(30)]
         assert first != second
 
     def test_zero_rate_never_corrupts(self):
         injector = FaultInjector(FaultPlan.none(), 8)
-        assert not any(
-            injector.page_corrupted(d, p) for d in range(8) for p in range(50)
+        assert all(
+            injector.page_corruption_kind(d, p) is None
+            for d in range(8) for p in range(50)
         )
-        assert injector.page_corruption_kind(0, 0) is None
-
-    def test_crash_boundary_exposed(self):
-        assert FaultInjector(FaultPlan.crash(4), 8).crash_boundary() == 4
-        assert FaultInjector(FaultPlan.none(), 8).crash_boundary() is None
 
     def test_golden_transient_draws_unchanged(self):
         """The seeded transient-fault stream must stay byte-identical
@@ -664,10 +661,14 @@ class TestDeviceRebuilder:
 
     def test_rebuilt_file_answers_queries(self):
         durable = _durable(records=100)
-        expected = sorted(durable.search({0: 1}).records)
+        served = DegradedExecutor(durable.file).search({0: 1})
+        expected = sorted(served.records)
         durable.file.lose_device(0)
+        around = DegradedExecutor(durable.file, FaultPlan.fail([0]))
+        assert sorted(around.search({0: 1}).records) == expected
         DeviceRebuilder(durable.file).rebuild(0)
-        assert sorted(durable.search({0: 1}).records) == expected
+        rebuilt = DegradedExecutor(durable.file).search({0: 1})
+        assert sorted(rebuilt.records) == expected
 
     def test_corrupt_source_aborts_rebuild(self):
         durable = _durable(records=200)
@@ -751,9 +752,8 @@ class TestMakeDurableFile:
 
         plain = PartitionedFile(FXDistribution(durable.filesystem))
         plain.insert_all(_records(64))
-        assert sorted(durable.search({1: 2}).records) == sorted(
-            plain.search({1: 2}).records
-        )
+        served = DegradedExecutor(durable.file).search({1: 2})
+        assert sorted(served.records) == sorted(plain.search({1: 2}).records)
 
 
 # ----------------------------------------------------------------------

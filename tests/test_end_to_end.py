@@ -21,6 +21,7 @@ from repro.hashing.fields import FileSystem
 from repro.query.box import BoxQuery
 from repro.query.partial_match import PartialMatchQuery
 from repro.query.workload import QueryWorkload, WorkloadSpec
+from repro.runtime import DegradedExecutor, FaultPlan
 from repro.storage.btree_store import BTreeBucketStore
 from repro.storage.bucket_store import BucketStore
 from repro.storage.cache import CachedExecutor
@@ -261,8 +262,8 @@ class TestReplicationOverMigratedLayout:
 
         rf = ReplicatedFile(ChainedReplicaScheme(ZOrderDistribution(FS)))
         rf.insert_all(RECORDS)
-        rf.fail_device(5)
-        result = rf.execute(PartialMatchQuery.full_scan(FS))
+        runtime = DegradedExecutor(rf, FaultPlan.fail([5]))
+        result = runtime.execute(PartialMatchQuery.full_scan(FS))
         assert len(result.records) == len(RECORDS)
         rf.check_invariants()
 

@@ -6,7 +6,7 @@ from repro import errors
 from repro.errors import (
     AnalysisError,
     ConfigurationError,
-    DataUnavailableError,
+    CorruptPageError,
     DistributionError,
     FieldValueError,
     NotPowerOfTwoError,
@@ -33,15 +33,8 @@ class TestHierarchyShape:
 
     def test_storage_errors_stay_runtime_errors(self):
         assert issubclass(StorageError, RuntimeError)
-        assert issubclass(DataUnavailableError, StorageError)
+        assert issubclass(CorruptPageError, StorageError)
         assert issubclass(AnalysisError, RuntimeError)
-
-    def test_data_unavailable_importable_from_both_homes(self):
-        from repro.storage.replicated_file import (
-            DataUnavailableError as reexported,
-        )
-
-        assert reexported is DataUnavailableError
 
 
 class TestEntryPointsRaiseTyped:
@@ -89,20 +82,18 @@ class TestEntryPointsRaiseTyped:
         with pytest.raises(DistributionError):
             FXDistribution(FS).response_histogram(other)
 
-    def test_double_failure_raises_data_unavailable(self):
+    def test_double_failure_reports_lost_buckets(self):
+        """Data no live replica holds is reported, not raised."""
         from repro.core.fx import FXDistribution
         from repro.distribution.replicated import ChainedReplicaScheme
+        from repro.runtime import DegradedExecutor, FaultPlan
         from repro.storage.replicated_file import ReplicatedFile
 
         rf = ReplicatedFile(ChainedReplicaScheme(FXDistribution(FS)))
         rf.insert_all([(i % 4, i % 8) for i in range(16)])
-        rf.fail_device(0)
-        rf.fail_device(1)
-        with pytest.raises(DataUnavailableError):
-            rf.search({})
-        # and it is catchable as the generic library error
-        with pytest.raises(ReproError):
-            rf.search({})
+        result = DegradedExecutor(rf, FaultPlan.fail([0, 1])).search({})
+        assert result.lost_buckets > 0
+        assert result.completeness < 1.0
 
     def test_analysis_errors(self):
         from repro.analysis.availability import (

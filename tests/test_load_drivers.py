@@ -171,3 +171,6 @@ def test_chaos_unclassified_error_is_reported_not_hung(monkeypatch):
     assert "KeyError" in error
     assert error in report.verify()
     assert report.crashes == 1
+    # the stopped client's unrun ops count against availability
+    assert (report.total_ops, report.ok_ops) == (16, 8)
+    assert report.availability == 0.5

@@ -1,4 +1,9 @@
-"""Tests for chained replica placement and failure masking."""
+"""Tests for chained replica placement and failure masking.
+
+Which devices are down is a :class:`FaultPlan`'s to say; every read here
+goes through :class:`DegradedExecutor`, the one read that routes around
+them.
+"""
 
 import pytest
 
@@ -8,16 +13,20 @@ from repro.distribution.replicated import ChainedReplicaScheme
 from repro.errors import ConfigurationError, StorageError
 from repro.hashing.fields import FileSystem
 from repro.query.partial_match import PartialMatchQuery
-from repro.storage.replicated_file import (
-    DataUnavailableError,
-    ReplicatedFile,
-)
+from repro.runtime import DegradedExecutor, FaultPlan
+from repro.storage.replicated_file import ReplicatedFile
 
 FS = FileSystem.of(4, 8, m=4)
 
 
 def _scheme(offset=1):
     return ChainedReplicaScheme(FXDistribution(FS), offset=offset)
+
+
+def _scan(rf, failed=()):
+    """A full scan of *rf* with the devices in *failed* down."""
+    runtime = DegradedExecutor(rf, FaultPlan.fail(failed))
+    return runtime.execute(PartialMatchQuery.full_scan(FS))
 
 
 class TestChainedReplicaScheme:
@@ -79,7 +88,7 @@ class TestHealthyReads:
         rf = ReplicatedFile(_scheme())
         records = [(i, f"name-{i % 6}") for i in range(100)]
         rf.insert_all(records)
-        result = rf.search({1: "name-3"})
+        result = DegradedExecutor(rf).search({1: "name-3"})
         expected = [r for r in records if r[1] == "name-3"]
         # hashing may co-locate other records in qualified buckets, but all
         # true matches must be present exactly once
@@ -89,14 +98,12 @@ class TestHealthyReads:
     def test_no_backup_reads_when_healthy(self):
         rf = ReplicatedFile(_scheme())
         rf.insert_all([(i, "x") for i in range(20)])
-        result = rf.execute(PartialMatchQuery.full_scan(FS))
-        assert result.served_by_backup == 0
+        assert _scan(rf).failovers == 0
 
     def test_no_duplicate_records_from_replicas(self):
         rf = ReplicatedFile(_scheme())
         rf.insert((5, "only-once"))
-        result = rf.execute(PartialMatchQuery.full_scan(FS))
-        assert result.records.count((5, "only-once")) == 1
+        assert _scan(rf).records.count((5, "only-once")) == 1
 
 
 class TestFailureMasking:
@@ -106,10 +113,8 @@ class TestFailureMasking:
         return rf
 
     def test_single_failure_masks(self):
-        rf = self._loaded()
-        rf.fail_device(2)
-        result = rf.execute(PartialMatchQuery.full_scan(FS))
-        assert result.served_by_backup > 0
+        result = _scan(self._loaded(), {2})
+        assert result.failovers > 0
         assert result.buckets_per_device[2] == 0
         assert sum(result.buckets_per_device) == FS.bucket_count
         # every logical record still retrievable exactly once
@@ -117,46 +122,37 @@ class TestFailureMasking:
 
     def test_failed_load_lands_on_neighbour(self):
         rf = self._loaded()
-        query = PartialMatchQuery.full_scan(FS)
-        healthy = rf.degraded_histogram(query)
-        rf.fail_device(1)
-        degraded = rf.degraded_histogram(query)
+        healthy = _scan(rf).buckets_per_device
+        degraded = _scan(rf, {1}).buckets_per_device
         assert degraded[1] == 0
         assert degraded[2] == healthy[2] + healthy[1]
         assert degraded[0] == healthy[0]
 
     def test_adjacent_pair_failure_loses_data(self):
-        rf = self._loaded()
-        rf.fail_device(1)
-        rf.fail_device(2)  # backups of device 1's primaries
-        with pytest.raises(DataUnavailableError):
-            rf.execute(PartialMatchQuery.full_scan(FS))
+        # device 2 holds the backups of device 1's primaries
+        result = _scan(self._loaded(), {1, 2})
+        assert result.lost_buckets > 0
+        assert result.completeness < 1.0
+        assert len(result.records) < 120
 
     def test_non_adjacent_pair_failure_survives(self):
-        rf = self._loaded()
-        rf.fail_device(0)
-        rf.fail_device(2)
-        result = rf.execute(PartialMatchQuery.full_scan(FS))
+        result = _scan(self._loaded(), {0, 2})
         assert len(result.records) == 120
 
     def test_restore_clears_masking(self):
         rf = self._loaded()
-        rf.fail_device(3)
-        rf.restore_device(3)
-        result = rf.execute(PartialMatchQuery.full_scan(FS))
-        assert result.served_by_backup == 0
-        assert rf.failed_devices == frozenset()
+        assert _scan(rf, {3}).failovers > 0
+        result = _scan(rf)  # a plan that no longer fails device 3
+        assert result.failovers == 0
+        assert result.failed_devices == ()
 
     def test_fail_unknown_device(self):
-        rf = self._loaded()
-        with pytest.raises(StorageError):
-            rf.fail_device(9)
+        with pytest.raises(ConfigurationError):
+            _scan(self._loaded(), {9})
 
     def test_degraded_strict_optimality_lost(self):
         """Degraded mode roughly doubles one device's share, so a strict
         optimal query generally stops being strict optimal."""
         rf = self._loaded()
-        query = PartialMatchQuery.full_scan(FS)
-        assert rf.execute(query).strict_optimal
-        rf.fail_device(0)
-        assert not rf.execute(query).strict_optimal
+        assert _scan(rf).strict_optimal
+        assert not _scan(rf, {0}).strict_optimal

@@ -1,10 +1,10 @@
 """Stateful testing of the replicated file: failures, restores, reads.
 
-Hypothesis drives interleavings of inserts, device failures and restores,
-checking after every step that reads return exactly the live logical
-records whenever the failure pattern is survivable, and raise
-DataUnavailableError precisely when an adjacent primary/backup pair is
-down.
+Hypothesis drives interleavings of inserts, device failures and restores
+(the failed set becomes a :class:`FaultPlan`), checking after every step
+that a degraded read returns exactly the live logical records whenever
+the failure pattern is survivable, and reports lost buckets precisely
+when an adjacent primary/backup pair is down.
 """
 
 from hypothesis import settings
@@ -15,7 +15,8 @@ from repro.core.fx import FXDistribution
 from repro.distribution.replicated import ChainedReplicaScheme
 from repro.hashing.fields import FileSystem
 from repro.query.partial_match import PartialMatchQuery
-from repro.storage.replicated_file import DataUnavailableError, ReplicatedFile
+from repro.runtime import DegradedExecutor, FaultPlan
+from repro.storage.replicated_file import ReplicatedFile
 
 M = 4
 
@@ -26,6 +27,7 @@ class ReplicatedFileMachine(RuleBasedStateMachine):
         fs = FileSystem.of(4, 4, m=M)
         self.file = ReplicatedFile(ChainedReplicaScheme(FXDistribution(fs)))
         self.model: list[tuple] = []
+        self.failed: set[int] = set()
         self.next_id = 0
 
     # ------------------------------------------------------------------
@@ -40,32 +42,29 @@ class ReplicatedFileMachine(RuleBasedStateMachine):
 
     @rule(device=st.integers(0, M - 1))
     def fail(self, device):
-        self.file.fail_device(device)
+        self.failed.add(device)
 
     @rule(device=st.integers(0, M - 1))
     def restore(self, device):
-        self.file.restore_device(device)
+        self.failed.discard(device)
 
     @rule()
     def full_scan(self):
         query = PartialMatchQuery.full_scan(self.file.filesystem)
-        failed = self.file.failed_devices
+        failed = self.failed
+        result = DegradedExecutor(self.file, FaultPlan.fail(failed)).execute(
+            query
+        )
         # survivable iff no failed device's backup neighbour is also failed
         survivable = all((d + 1) % M not in failed for d in failed)
         if survivable:
-            result = self.file.execute(query)
+            assert result.lost_buckets == 0
             assert sorted(map(str, result.records)) == sorted(
                 map(str, self.model)
             )
         else:
-            try:
-                self.file.execute(query)
-            except DataUnavailableError:
-                pass
-            else:  # pragma: no cover - indicates a masking bug
-                raise AssertionError(
-                    "adjacent-pair failure should lose some bucket"
-                )
+            assert result.lost_buckets > 0
+            assert result.completeness < 1.0
 
     # ------------------------------------------------------------------
     # Invariants
