@@ -1,10 +1,11 @@
 """Throughput of the array-native batch engine vs per-query execution.
 
 The engine (``repro.engine``) plans a whole batch of partial match
-queries in one NumPy pass — per-query specified folds gathered through
-the contribution tables, one ``searchsorted`` pair inverting the solve
-field for every (query, device, combination) cell — and then touches
-each present (device, bucket) pair once for the whole batch.  The serial
+queries as one request stream — each pattern solved once per method,
+each query's buckets gathered from its pattern's plan with devices
+relabelled by the query's fold — looks the stream up once against the
+devices' stored buckets, and touches each present (device, bucket) pair
+once for the whole batch.  The serial
 :class:`~repro.storage.executor.QueryExecutor` pays a Python-level
 inverse-mapping loop and a full bucket scan per query.
 
@@ -38,6 +39,7 @@ import os
 import pathlib
 import platform
 import random
+import statistics
 import subprocess
 import time
 
@@ -58,7 +60,8 @@ SMOKE_DEVICES = 8
 SMOKE_BATCH_SIZES = (8, 16)
 SMOKE_RECORDS = 256
 
-#: Timed repeats per measurement; the best one is kept.
+#: Timed repeats per measurement: the best one is the reported rate (and
+#: what the 10x gate reads); min, median and max are recorded beside it.
 REPEATS = 3
 
 
@@ -133,28 +136,43 @@ def bench_serial_executor_64(benchmark):
 # ----------------------------------------------------------------------
 # Script mode: write BENCH_batchexec.json
 # ----------------------------------------------------------------------
+def _timed(run) -> tuple[list[float], object]:
+    """*run* timed ``REPEATS`` times: the samples in seconds and the last
+    result."""
+    samples = []
+    for __ in range(REPEATS):
+        started = time.perf_counter()
+        result = run()
+        samples.append(time.perf_counter() - started)
+    return samples, result
+
+
+def _spread(samples: list[float]) -> dict:
+    """Min, median and max of timing *samples*, in ms."""
+    return {
+        "min_ms": round(min(samples) * 1000.0, 3),
+        "median_ms": round(statistics.median(samples) * 1000.0, 3),
+        "max_ms": round(max(samples) * 1000.0, 3),
+    }
+
+
 def _measure(pf, crc, batch_size, seed) -> dict:
     queries = _query_batch(pf, batch_size, seed)
     serial = QueryExecutor(pf)
     engine = BatchEngine(pf)
 
-    serial_s = float("inf")
-    for __ in range(REPEATS):  # best-of on every side to tame timer noise
-        started = time.perf_counter()
-        serial_results = [serial.execute(query) for query in queries]
-        serial_s = min(serial_s, time.perf_counter() - started)
-
-    engine.execute(queries)  # warm present-set and solve-lookup caches
-    batched_s = float("inf")
-    for __ in range(REPEATS):
-        started = time.perf_counter()
-        report = engine.execute(queries)
-        batched_s = min(batched_s, time.perf_counter() - started)
+    # Best-of on every side tames timer noise; the spread is kept beside it.
+    serial_samples, serial_results = _timed(
+        lambda: [serial.execute(query) for query in queries]
+    )
+    engine.execute(queries)  # warm present-set and pattern-plan caches
+    batched_samples, report = _timed(lambda: engine.execute(queries))
 
     for batched_result, serial_result in zip(report.results, serial_results):
         assert_byte_identical(batched_result, serial_result)
 
-    # Same batch through the CRC-verified store: identity again.
+    # Same batch through the CRC-verified store: identity again, each
+    # repeat on a fresh engine (present sets listed cold).
     crc_serial = QueryExecutor(crc)
     crc_queries = [
         crc.query(
@@ -166,39 +184,47 @@ def _measure(pf, crc, batch_size, seed) -> dict:
         )
         for query in queries
     ]
-    started = time.perf_counter()
-    crc_report = BatchEngine(crc).execute(crc_queries)
-    crc_s = time.perf_counter() - started
+    crc_samples, crc_report = _timed(
+        lambda: BatchEngine(crc).execute(crc_queries)
+    )
     for batched_result, query in zip(crc_report.results, crc_queries):
         assert_byte_identical(batched_result, crc_serial.execute(query))
 
-    # Right after a write: the engine rebuilds the written device's present
+    # Right after a write: the engine relists the written device's present
     # set.  The inserts are deleted again so later batch sizes see the same
-    # file.  This runs after the CRC cold shot, which is timed once: run
-    # before it, this section halved that shot's rate at batch size 16.
+    # file.  This runs after the CRC shots: run before them, this section
+    # halved their rate at batch size 16.
     rng = random.Random(seed)
     fields = pf.filesystem.field_sizes
     written = []
-    after_write_s = float("inf")
+    after_write_samples = []
     for __ in range(REPEATS):
         record = tuple(rng.randrange(size) for size in fields)
         pf.insert(record)
         written.append(record)
         started = time.perf_counter()
         after_write = engine.execute(queries)
-        after_write_s = min(after_write_s, time.perf_counter() - started)
+        after_write_samples.append(time.perf_counter() - started)
     for batched_result, query in zip(after_write.results, queries):
         assert_byte_identical(batched_result, serial.execute(query))
     for record in written:
         assert pf.delete(record)
 
+    serial_s = min(serial_samples)
+    batched_s = min(batched_samples)
     return {
         "batch_size": batch_size,
         "serial_qps": round(batch_size / serial_s, 1),
         "batched_qps": round(batch_size / batched_s, 1),
         "speedup": round(serial_s / batched_s, 2),
-        "after_write_qps": round(batch_size / after_write_s, 1),
-        "crc_qps": round(batch_size / crc_s, 1),
+        "after_write_qps": round(batch_size / min(after_write_samples), 1),
+        "crc_qps": round(batch_size / min(crc_samples), 1),
+        "timings": {
+            "serial": _spread(serial_samples),
+            "batched": _spread(batched_samples),
+            "after_write": _spread(after_write_samples),
+            "crc": _spread(crc_samples),
+        },
         "planned_reads": report.planned_reads,
         "unique_reads": report.unique_reads,
         "sharing_factor": round(report.sharing_factor, 3),

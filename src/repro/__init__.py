@@ -83,7 +83,7 @@ from repro.storage import (
     ReplicatedFile,
 )
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "__version__",

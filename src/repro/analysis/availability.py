@@ -54,9 +54,10 @@ def survivable(scheme: ChainedReplicaScheme, failed: set[int]) -> bool:
     for device in failed:
         if not 0 <= device < m:
             raise AnalysisError(f"no device {device}")
-        if failover_device(device, failed, m, scheme.offset) is None:
-            return False
-    return True
+    return all(
+        failover_device(device, failed, m, scheme.offset) is not None
+        for device in failed
+    )
 
 
 def count_survivable_sets(m: int, k: int) -> int:

@@ -13,7 +13,7 @@ solved field — we always solve for the largest unspecified field, which for
 an optimal distribution is within a constant factor of the per-device output
 size, i.e. the enumeration is output-sensitive up to ``ceil`` effects.
 
-Three implementations share that algebra:
+Four implementations share that algebra:
 
 * :func:`separable_qualified_on_device` — the reference iterator, one
   Python tuple at a time, kept as the correctness oracle: the serial
@@ -25,12 +25,17 @@ Three implementations share that algebra:
 * :func:`separable_qualified_on_device_array` — the array kernel,
   which materialises the same buckets (same row-major order, bit-identical)
   as one ``(N, n_fields)`` NumPy array via broadcasted fold enumeration and
-  a sorted solve-field lookup.
+  a sorted solve-field lookup;
+* :func:`separable_qualified_flat_batch` — the batch engine's kernel:
+  each pattern solved once per method (a :class:`PatternPlan`, kept
+  within a byte budget) and translated to each query by its fold.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
@@ -45,19 +50,16 @@ if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.distribution.base import SeparableMethod
 
 __all__ = [
+    "PATTERN_PLAN_BUDGET",
+    "PatternPlan",
     "PatternSolver",
     "separable_qualified_on_device",
     "separable_qualified_on_device_array",
     "separable_qualified_flat_batch",
+    "pattern_plan",
     "bucket_strides",
     "contribution_index",
 ]
-
-#: Ceiling on the (queries x devices x combinations) working set one chunk
-#: of the batched solver materialises; larger groups are processed in
-#: query sub-chunks so peak memory stays bounded (~64 MB of int64).
-_BATCH_CELL_LIMIT = 1 << 23
-
 
 def bucket_strides(filesystem) -> np.ndarray:
     """Row-major strides flattening a bucket address to one int64.
@@ -123,6 +125,28 @@ def _solve_lookup(
         found = (order, starts)
         cache[field_index] = found
     return found
+
+
+def _pre_images(
+    method: "SeparableMethod", solve_field: int, needed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert the solve field for every cell of *needed* (the solve
+    field's needed contribution per cell) with two gathers through its
+    pre-image offset table.
+
+    Returns, per output bucket, its cell and its solve value — a cell's
+    pre-images in ascending value order, like the iterator — and each
+    cell's pre-image count (several, or none, for non-injective tables).
+    """
+    order, starts = _solve_lookup(method, solve_field)
+    start = starts[needed]
+    counts = starts[needed + 1] - start
+    cell = np.repeat(np.arange(needed.size, dtype=np.int64), counts)
+    # ``within`` ranks each output inside its cell's pre-image group.
+    within = np.arange(cell.size, dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return cell, order[np.repeat(start, counts) + within], counts
 
 
 def separable_qualified_on_device(
@@ -314,19 +338,10 @@ def separable_qualified_on_device_array(
     else:
         needed = (device - acc) % m
 
-    # Step 2: invert the solve field for the whole batch.
-    order, starts = _solve_lookup(method, solve_field)
-    start = starts[needed]
-    counts = starts[needed + 1] - start
-    total = int(counts.sum())
-
-    # Step 3: expand combinations with multiple (or zero) solve values.
-    # ``combo`` maps output rows back to enumeration indices; ``within``
-    # ranks each output row inside its combination's pre-image group.
-    combo = np.repeat(np.arange(acc.shape[0], dtype=np.int64), counts)
-    group_offsets = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(group_offsets, counts)
-    solve_values = order[np.repeat(start, counts) + within]
+    # Steps 2 and 3: invert the solve field for the whole enumeration;
+    # ``combo`` maps output rows back to enumeration indices.
+    combo, solve_values, __ = _pre_images(method, solve_field, needed)
+    total = combo.size
 
     out = np.empty((total, n), dtype=np.int64)
     # Strides decode a flat enumeration index into per-field values
@@ -350,15 +365,143 @@ def separable_qualified_on_device_array(
     return out
 
 
+#: Byte budget of the pattern plans one method keeps (each plan's arrays;
+#: least recently used plans go first, and a plan larger than the whole
+#: budget is used once and not kept).
+PATTERN_PLAN_BUDGET = 16 << 20
+
+#: Guards every method's plan cache; held only for dictionary updates.
+_PLANS_LOCK = threading.Lock()
+
+
+class PatternPlan:
+    """One pattern's qualified buckets on every device, solved once.
+
+    A query's specified fields only add a constant ``c`` (their folded
+    contributions) to the device address of every bucket it qualifies,
+    and a constant prefix to its flat address.  So the plan is solved for
+    ``c = 0`` with the specified fields at 0: ``flat[starts[e]:starts[e +
+    1]]`` holds the unspecified part of the flat address of every bucket
+    that solve puts on device *e*, in the reference iterator's order.
+    A query of the pattern finds its buckets on device ``d`` on device
+    ``d ⊕ c`` (xor methods) or ``(d − c) mod M`` (add methods) of the
+    plan, each shifted by its specified prefix.
+
+    ``specified`` holds ``(field, contribution table, stride)`` for each
+    specified field: what folding a query's ``c`` and prefix takes.
+    ``nbytes`` counts the plan's arrays, what :data:`PATTERN_PLAN_BUDGET`
+    bounds.
+    """
+
+    __slots__ = ("flat", "counts", "starts", "specified", "nbytes")
+
+    def __init__(
+        self,
+        method: "SeparableMethod",
+        pattern: frozenset[int],
+        strides: np.ndarray,
+    ):
+        fs = method.filesystem
+        m = fs.m
+        self.specified = tuple(
+            (i, method.contribution_table(i), int(strides[i]))
+            for i in range(fs.n_fields)
+            if i not in pattern
+        )
+        if not pattern:
+            # Exact match: the one bucket sits on device c.
+            flat = np.zeros(1, dtype=np.int64)
+            counts = np.zeros(m, dtype=np.int64)
+            counts[0] = 1
+        else:
+            unspecified = sorted(pattern)
+            solve_field = max(unspecified, key=lambda i: fs.field_sizes[i])
+            enumerate_fields = [i for i in unspecified if i != solve_field]
+            xor = method.combine == "xor"
+
+            # Enumeration fold and flat offsets, row-major like the
+            # iterator.
+            acc = np.zeros(1, dtype=np.int64)
+            enum_flat = np.zeros(1, dtype=np.int64)
+            for i in enumerate_fields:
+                table = method.contribution_array(i)
+                offsets = np.arange(fs.field_sizes[i], dtype=np.int64)
+                offsets *= strides[i]
+                if xor:
+                    acc = (acc[:, None] ^ table[None, :]).ravel()
+                else:
+                    acc = (acc[:, None] + table[None, :]).ravel()
+                enum_flat = (enum_flat[:, None] + offsets[None, :]).ravel()
+
+            # The solve field's needed contribution for every (device,
+            # combination) cell.
+            devices = np.arange(m, dtype=np.int64)
+            if xor:
+                needed = devices[:, None] ^ acc[None, :]
+            else:
+                needed = (devices[:, None] - acc[None, :]) % m
+            cell, solve_values, cell_counts = _pre_images(
+                method, solve_field, needed.ravel()
+            )
+            flat = (
+                enum_flat[cell % acc.size]
+                + solve_values * strides[solve_field]
+            )
+            counts = cell_counts.reshape(m, acc.size).sum(axis=1)
+        self.flat = flat
+        self.counts = counts
+        self.starts = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(counts))
+        )
+        self.nbytes = flat.nbytes + counts.nbytes + self.starts.nbytes
+
+
+class _PlanCache(OrderedDict):
+    """One method's pattern plans, least recently used first, and the
+    bytes they hold."""
+
+    nbytes = 0
+
+
+def pattern_plan(
+    method: "SeparableMethod", pattern: frozenset[int], strides: np.ndarray
+) -> PatternPlan:
+    """*pattern*'s :class:`PatternPlan`, built once per method and strides.
+
+    Kept on the method like the single-query solvers, but bounded: the
+    plans one method keeps hold at most :data:`PATTERN_PLAN_BUDGET` bytes.
+    Threads racing on a new pattern may each build its plan; every build
+    is the same, and the first one kept wins.
+    """
+    key = (pattern, strides.tobytes())
+    with _PLANS_LOCK:
+        cache = method.__dict__.get("_pattern_plans")
+        if cache is None:
+            cache = method.__dict__["_pattern_plans"] = _PlanCache()
+        plan = cache.get(key)
+        if plan is not None:
+            cache.move_to_end(key)
+            return plan
+    plan = PatternPlan(method, pattern, strides)
+    budget = PATTERN_PLAN_BUDGET
+    if plan.nbytes <= budget:
+        with _PLANS_LOCK:
+            if key not in cache:
+                cache[key] = plan
+                cache.nbytes += plan.nbytes
+                while cache.nbytes > budget:
+                    __, evicted = cache.popitem(last=False)
+                    cache.nbytes -= evicted.nbytes
+    return plan
+
+
 def separable_qualified_flat_batch(
     method: "SeparableMethod",
     queries: "Sequence[PartialMatchQuery]",
     strides: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Qualified buckets of a *pattern group* on every device, one pass.
+    """Qualified buckets of a batch of queries on every device, one pass.
 
-    All *queries* must share one pattern (the same set of unspecified
-    fields) — the engine's planner groups by pattern before calling in.
     Returns ``(flat, counts)`` where ``counts[g, d]`` is the number of
     qualified buckets of query *g* on device *d*, and ``flat`` holds every
     qualified bucket as a row-major flat address (see
@@ -366,24 +509,37 @@ def separable_qualified_flat_batch(
     combination, solve pre-image rank)``.  Within each ``(query, device)``
     slice that is exactly the order :func:`separable_qualified_on_device`
     yields — decode ``flat`` with the strides and you get the iterator's
-    buckets bit-identically.
+    buckets bit-identically.  The queries may mix patterns.
 
-    The algebra generalises the single-(query, device) array path over two
-    more axes: per-query specified folds are gathered through the
-    contribution arrays, the enumeration fold is built once and shared by
-    the whole group, and two gathers through the cached pre-image offset
-    table invert the solve field for all ``G x M x E`` cells at once.  Groups whose working set exceeds
-    ``_BATCH_CELL_LIMIT`` cells are processed in query sub-chunks so peak
-    memory stays bounded (query-major output order is preserved).
+    A query folds only its specified values; its slices are its
+    pattern's :class:`PatternPlan` (see :func:`pattern_plan`) relabelled
+    by that fold, and one gather builds ``flat`` for the whole batch.
 
     Throughput lands on the ``inverse_batch`` perf counter (buckets/sec).
     """
     started = _now()
-    fs = method.filesystem
-    m = fs.m
-    n = fs.n_fields
-    G = len(queries)
-    if G == 0:
+    m = method.filesystem.m
+    xor = method.combine == "xor"
+    by_pattern: dict[frozenset[int], int] = {}
+    plans: list[PatternPlan] = []
+    which: list[int] = []
+    folds: list[int] = []
+    prefixes: list[int] = []
+    for query in queries:
+        index = by_pattern.get(query.pattern)
+        if index is None:
+            index = by_pattern[query.pattern] = len(plans)
+            plans.append(pattern_plan(method, query.pattern, strides))
+        values = query.values
+        fold = prefix = 0
+        for i, table, stride in plans[index].specified:
+            value = values[i]
+            fold = fold ^ table[value] if xor else fold + table[value]
+            prefix += value * stride
+        which.append(index)
+        folds.append(fold)
+        prefixes.append(prefix)
+    if not plans:
         default_registry().record_perf_work(
             "inverse_batch", 0, _now() - started
         )
@@ -392,106 +548,26 @@ def separable_qualified_flat_batch(
             np.empty((0, m), dtype=np.int64),
         )
 
-    pattern = queries[0].pattern
-    specified = [i for i in range(n) if i not in pattern]
-    xor = method.combine == "xor"
-
-    # Per-query specified fold + flat prefix, vectorised across the group.
-    folds = np.zeros(G, dtype=np.int64)
-    spec_flat = np.zeros(G, dtype=np.int64)
-    if specified:
-        vals = np.asarray(
-            [[query.values[i] for i in specified] for query in queries],
-            dtype=np.int64,
-        )
-        spec_flat = vals @ strides[specified]
-        for k, i in enumerate(specified):
-            table = method.contribution_array(i)
-            if xor:
-                folds ^= table[vals[:, k]]
-            else:
-                folds += table[vals[:, k]]
-        if not xor:
-            folds %= m
-
-    if not pattern:
-        # Exact match: each query's single bucket sits on its fold device.
-        counts = np.zeros((G, m), dtype=np.int64)
-        counts[np.arange(G), folds] = 1
-        default_registry().record_perf_work(
-            "inverse_batch", G, _now() - started
-        )
-        return spec_flat, counts
-
-    unspecified = sorted(pattern)
-    solve_field = max(unspecified, key=lambda i: fs.field_sizes[i])
-    enumerate_fields = [i for i in unspecified if i != solve_field]
-
-    # Shared enumeration fold and flat offsets, row-major like the iterator.
-    acc = np.zeros(1, dtype=np.int64)
-    enum_flat = np.zeros(1, dtype=np.int64)
-    for i in enumerate_fields:
-        table = method.contribution_array(i)
-        offsets = np.arange(fs.field_sizes[i], dtype=np.int64) * strides[i]
-        if xor:
-            acc = (acc[:, None] ^ table[None, :]).ravel()
-        else:
-            acc = (acc[:, None] + table[None, :]).ravel()
-        enum_flat = (enum_flat[:, None] + offsets[None, :]).ravel()
-
-    e_size = acc.shape[0]
+    # The plan device each (query, device) cell reads.
     devices = np.arange(m, dtype=np.int64)
-    order, starts = _solve_lookup(method, solve_field)
-    solve_stride = int(strides[solve_field])
-
-    chunk = max(1, _BATCH_CELL_LIMIT // (m * e_size))
-    flat_parts: list[np.ndarray] = []
-    count_parts: list[np.ndarray] = []
-    total = 0
-    for lo in range(0, G, chunk):
-        hi = min(G, lo + chunk)
-        if xor:
-            needed = (
-                folds[lo:hi, None, None]
-                ^ devices[None, :, None]
-                ^ acc[None, None, :]
-            )
-        else:
-            needed = (
-                devices[None, :, None]
-                - folds[lo:hi, None, None]
-                - acc[None, None, :]
-            ) % m
-        cells = needed.ravel()  # (query, device, combination) major order
-        start = starts[cells]
-        cell_counts = starts[cells + 1] - start
-        part_total = int(cell_counts.sum())
-        total += part_total
-
-        cell = np.repeat(
-            np.arange(cells.shape[0], dtype=np.int64), cell_counts
-        )
-        group_offsets = np.cumsum(cell_counts) - cell_counts
-        within = np.arange(part_total, dtype=np.int64) - np.repeat(
-            group_offsets, cell_counts
-        )
-        solve_values = order[np.repeat(start, cell_counts) + within]
-
-        g_idx = cell // (m * e_size)
-        e_idx = cell % e_size
-        flat_parts.append(
-            spec_flat[lo:hi][g_idx]
-            + enum_flat[e_idx]
-            + solve_values * solve_stride
-        )
-        count_parts.append(
-            cell_counts.reshape(hi - lo, m, e_size).sum(axis=2)
-        )
-
-    flat = flat_parts[0] if len(flat_parts) == 1 else np.concatenate(flat_parts)
-    counts = (
-        count_parts[0] if len(count_parts) == 1 else np.concatenate(count_parts)
-    )
+    c = np.asarray(folds, dtype=np.int64)[:, None]
+    source = devices ^ c if xor else (devices - c) % m
+    # Every plan's buckets in one pool; table row r is plans[r]'s.
+    pool = np.concatenate([plan.flat for plan in plans])
+    offsets = np.cumsum([0] + [plan.flat.size for plan in plans])
+    row = np.asarray(which, dtype=np.int64)[:, None]
+    starts = np.stack([plan.starts[:-1] for plan in plans])[row, source]
+    starts += offsets[row]
+    counts = np.stack([plan.counts for plan in plans])[row, source]
+    lengths = counts.ravel()
+    ends = np.cumsum(lengths)
+    total = int(ends[-1])
+    # Concatenate every cell's run of ``pool``: position p of cell k reads
+    # ``pool[starts[k] + p - (ends[k] - lengths[k])]``.
+    gather = np.repeat(starts.ravel() - (ends - lengths), lengths)
+    gather += np.arange(total, dtype=np.int64)
+    flat = pool[gather]
+    flat += np.repeat(np.asarray(prefixes, dtype=np.int64), counts.sum(axis=1))
     default_registry().record_perf_work(
         "inverse_batch", total, _now() - started
     )

@@ -9,25 +9,29 @@ modelled times — while touching each (device, bucket) pair at most once for
 the whole batch:
 
 1. *Plan.*  :class:`~repro.engine.plan.ArrayBatchPlanner` dedupes the batch
-   by signature, groups it by pattern and solves each group's inverse
-   mapping in one NumPy pass, yielding flat int64 bucket addresses per
-   (query, device) plus each device's deduplicated read set.  The engine
-   plans with the file's current method, under the file's mutation lock,
-   so a migration cannot swap the method between the plan and the reads.
-2. *Fetch.*  Under the same lock (one consistent snapshot) each device's
-   read set is intersected with its *present* set — the sorted flat
-   addresses of its stored buckets, cached per device and rebuilt only
-   when the device's ``epoch`` has moved, so a write rebuilds the present
-   set of the one device it changed — and the device reads those buckets
-   once each through
+   by signature and builds one request stream: every distinct query's
+   flat bucket addresses in serial order, each gathered from its
+   pattern's cached plan with devices relabelled by the query's fold.
+   The engine plans with the file's current method, under the file's
+   mutation lock, so a migration cannot swap the method between the plan
+   and the reads.
+2. *Fetch.*  Under the same lock (one consistent snapshot) the whole
+   stream is looked up once against the devices' *present* sets — the
+   sorted flat addresses of each device's stored buckets, cached per
+   device and relisted only when the device's ``epoch`` has moved, so a
+   write relists the one device it changed.  On domains up to
+   ``BITMAP_DOMAIN_LIMIT`` the lookup is one gather from a domain-sized
+   array the engine keeps in step with the present sets; above it, one
+   ``searchsorted`` into their sorted union.  The hits are deduplicated
+   once, and every device, in order, reads its share in ascending
+   address order through
    :meth:`~repro.storage.device.SimulatedDevice.read_grouped`, the read
    serial execution uses: the same store reads (and CRC checks), device
    stats and ``storage.*`` counters.
-3. *Match.*  Outside the lock, one ``searchsorted`` per device matches
-   every slot's slice against the device's hits and routes each hit back
-   to its slot, so a slot's buckets come out in the serial order
-   (device 0..M-1, buckets in enumeration order, store insertion order
-   within a bucket).
+3. *Route.*  Outside the lock, the hits, still in stream order, are cut
+   into one run per slot, so a slot's buckets come out in the serial
+   order (device 0..M-1, buckets in enumeration order, store insertion
+   order within a bucket).
    :meth:`BatchEngine.execute` concatenates their records and recomputes
    service times from the *planned* per-device counts with the device's
    own cost model, accumulated in device order, so the floats come out
@@ -155,7 +159,21 @@ class BatchEngine:
     def __init__(self, partitioned_file: PartitionedFile):
         self.file = partitioned_file
         self.planner = ArrayBatchPlanner(partitioned_file.method)
-        self._present: dict[int, _PresentSet] = {}
+        fs = partitioned_file.filesystem
+        self._present: list[_PresentSet | None] = [None] * fs.m
+        #: Bitmap path: ``_where[flat]`` is ``device * domain + k + 1`` for
+        #: the bucket at position *k* of its device's present set, 0 for a
+        #: bucket no device stores.  The one domain-sized buffer the engine
+        #: holds; it is read and updated only under the file's lock.
+        self._where: np.ndarray | None = None
+        domain = self.planner.domain
+        if domain <= ArrayBatchPlanner.BITMAP_DOMAIN_LIMIT:
+            self._where = np.zeros(
+                domain, dtype=np.int32 if fs.m * domain < 2**31 else np.int64
+            )
+        #: Sort path: every stored flat address, sorted, with its entry
+        #: number (see :meth:`_locate`); rebuilt after a present set changes.
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Execution
@@ -229,33 +247,82 @@ class BatchEngine:
             self.planner = ArrayBatchPlanner(method)
         return self.planner
 
-    def _present_set(self, device) -> _PresentSet:
-        """The device's stored buckets as a sorted flat array, rebuilt
-        only when the device's epoch has moved (every store mutation
-        goes through the device and advances it).
+    def _refresh(self) -> list[_PresentSet]:
+        """Every device's present set, relisted only where the device's
+        epoch has moved (every store mutation goes through the device
+        and advances it), with the lookup structures kept in step.
 
         Uses ``tracked_buckets()`` when the store offers it so buckets
         whose page was lost but whose checksum survives are still probed —
         and their corruption surfaced — exactly as a serial read would.
         """
-        cached = self._present.get(device.device_id)
-        epoch = device.epoch
-        if cached is not None and cached.epoch == epoch:
-            return cached
-        store = device.store
-        tracked = getattr(store, "tracked_buckets", None)
-        buckets = list(tracked() if tracked else store.buckets())
-        if buckets:
-            arr = np.asarray(buckets, dtype=np.int64)
-            flats = arr @ self.planner.strides
-            order = np.argsort(flats, kind="stable")
-            flats = flats[order]
-            buckets = [buckets[k] for k in order.tolist()]
-        else:
-            flats = np.empty(0, dtype=np.int64)
-        present = _PresentSet(epoch, flats, buckets)
-        self._present[device.device_id] = present
+        present = self._present
+        stale = [
+            device
+            for device in self.file.devices
+            if present[device.device_id] is None
+            or present[device.device_id].epoch != device.epoch
+        ]
+        if not stale:
+            return present
+        where = self._where
+        # Drop every stale entry before setting any new one: a migration
+        # moves buckets between devices that are all stale.
+        for device in stale:
+            old = present[device.device_id]
+            if old is not None and where is not None:
+                where[old.flats] = 0
+            present[device.device_id] = None
+        domain, strides = self.planner.domain, self.planner.strides
+        for device in stale:
+            d = device.device_id
+            store = device.store
+            tracked = getattr(store, "tracked_buckets", None)
+            buckets = list(tracked() if tracked else store.buckets())
+            if buckets:
+                flats = np.asarray(buckets, dtype=np.int64) @ strides
+                order = np.argsort(flats, kind="stable")
+                flats = flats[order]
+                buckets = [buckets[k] for k in order.tolist()]
+            else:
+                flats = np.empty(0, dtype=np.int64)
+            present[d] = _PresentSet(device.epoch, flats, buckets)
+            if where is not None:
+                first = d * domain + 1
+                where[flats] = np.arange(first, first + flats.size)
+        self._sorted = None
         return present
+
+    def _locate(
+        self, stream: np.ndarray, present: list[_PresentSet], starts: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Look the whole stream up once.
+
+        Returns the ascending stream positions whose bucket a device
+        stores, and each one's entry number: ``starts[d] + k`` for the
+        bucket at rank *k* of device *d*'s present set, so entry order is
+        device order, then address order.
+        """
+        where = self._where
+        if where is not None:
+            codes = where[stream]
+            hit_at = np.flatnonzero(codes)
+            devices, ranks = np.divmod(
+                codes[hit_at].astype(np.int64) - 1, self.planner.domain
+            )
+            return hit_at, np.asarray(starts)[devices] + ranks
+        if self._sorted is None:
+            flats = np.concatenate([p.flats for p in present])
+            # Sorted positions in the device-major concatenation are the
+            # entry numbers.
+            entries = np.argsort(flats, kind="stable")
+            self._sorted = (flats[entries], entries)
+        flats, entries = self._sorted
+        if not flats.size:
+            return entries, entries
+        at = np.minimum(np.searchsorted(flats, stream), flats.size - 1)
+        hit_at = np.flatnonzero(flats[at] == stream)
+        return hit_at, entries[at[hit_at]]
 
     def _fetch(
         self, queries: Sequence[PartialMatchQuery], span
@@ -265,7 +332,7 @@ class BatchEngine:
 
         The method, the plan, the present sets and the reads come from one
         section under the file's mutation lock, so they all reflect the
-        same placement and write version; matching runs after it.
+        same placement and write version; routing runs after it.
 
         Returns the plan; per distinct slot, its ``(bucket, records)``
         pairs in serial order; the write version the reads reflect; the
@@ -273,46 +340,44 @@ class BatchEngine:
         was charged for its deduplicated read set (page-aware when the
         store is); and the planning wall time in ms.
         """
-        reads = []
         response = 0.0
+        fetched: list[tuple[Bucket, tuple[object, ...]]] = []
         with self.file.read_locked():
             started = _now()
-            planner = self._current_planner()
-            plan = planner.plan(queries)
+            plan = self._current_planner().plan(queries)
             plan_ms = (_now() - started) * 1000.0
             span.set_attr("distinct", len(plan.distinct))
             span.set_attr("planned_reads", plan.planned_reads)
             span.set_attr("unique_reads", plan.unique_reads)
-            try:
-                version = self.file.write_version
-                for device in self.file.devices:
-                    present = self._present_set(device)
-                    read_at = _read_positions(plan, device.device_id, present)
-                    buckets = [present.buckets[k] for k in read_at.tolist()]
-                    grouped, service = device.read_grouped(buckets)
-                    response = max(response, service)
-                    if buckets:
-                        flats = present.flats[read_at]
-                        reads.append(
-                            (device.device_id, flats, buckets, grouped)
-                        )
-            finally:
-                planner.recycle(plan)
-        # Match every slot's slice against each device's hits in one pass:
-        # a hit's offset in the concatenated request stream names its slot,
-        # and slice order is kept.
-        hits: list[_Hits] = [[] for __ in plan.distinct]
-        for device_id, flats, buckets, grouped in reads:
-            requested, boundaries = plan.requests[device_id]
-            positions = np.minimum(
-                np.searchsorted(flats, requested), flats.size - 1
-            )
-            valid_at = np.flatnonzero(flats[positions] == requested)
-            slot_of_hit = np.searchsorted(boundaries, valid_at, side="right")
-            for slot, k in zip(
-                slot_of_hit.tolist(), positions[valid_at].tolist()
-            ):
-                hits[slot].append((buckets[k], grouped[k]))
+            version = self.file.write_version
+            present = self._refresh()
+            starts = [0]
+            for p in present:
+                starts.append(starts[-1] + p.flats.size)
+            hit_at, entries = self._locate(plan.stream, present, starts)
+            # The distinct entries, ascending: each device's read set, in
+            # device order and, within it, address order.
+            needed, which = np.unique(entries, return_inverse=True)
+            bounds = np.searchsorted(needed, starts).tolist()
+            needed = needed.tolist()
+            for device in self.file.devices:
+                d = device.device_id
+                first, held = starts[d], present[d].buckets
+                buckets = [
+                    held[k - first] for k in needed[bounds[d]:bounds[d + 1]]
+                ]
+                grouped, service = device.read_grouped(buckets)
+                response = max(response, service)
+                fetched.extend(zip(buckets, grouped))
+        # Hits are in stream order, so each slot's run of the stream is one
+        # run of hits, already in serial order.
+        routed = [fetched[k] for k in which.tolist()]
+        slot_ends = np.cumsum(plan.counts.sum(axis=1))
+        cuts = [0, *np.searchsorted(hit_at, slot_ends).tolist()]
+        hits = [
+            routed[cuts[slot]:cuts[slot + 1]]
+            for slot in range(len(plan.distinct))
+        ]
         return plan, hits, version, response, plan_ms
 
     def _assemble(
@@ -380,25 +445,6 @@ class BatchEngine:
                     )
                 )
         return results
-
-
-def _read_positions(
-    plan: ArrayBatchPlan, device_id: int, present: _PresentSet
-) -> np.ndarray:
-    """Ascending positions in *present* of the buckets the batch needs
-    from the device: its read set ∩ its stored buckets."""
-    if not present.flats.size:
-        return present.flats
-    mask = plan.masks.get(device_id)
-    if mask is not None:
-        # Bitmap path: gather the (small, sorted) present set through the
-        # request-membership mask — no search needed.
-        return np.flatnonzero(mask[present.flats])
-    needed = plan.unique_per_device[device_id]
-    positions = np.minimum(
-        np.searchsorted(present.flats, needed), present.flats.size - 1
-    )
-    return positions[present.flats[positions] == needed]
 
 
 def _per_query(plan: ArrayBatchPlan) -> _Deferred:

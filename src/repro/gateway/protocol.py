@@ -382,10 +382,12 @@ def result_payload(result: ServiceResult) -> dict:
 
     ``records`` (the count) keeps its :meth:`ServiceResult.to_dict`
     meaning; the tuples ride separately under ``record_values`` so the
-    client can rebuild a verifiable :class:`ServiceResult`.
+    client can rebuild a verifiable :class:`ServiceResult`.  They go in
+    as they are: :mod:`json` encodes a tuple as an array, so the frame's
+    bytes are those of a list copy, without the copy.
     """
     payload = result.to_dict()
-    payload["record_values"] = [list(record) for record in result.records]
+    payload["record_values"] = result.records
     return payload
 
 

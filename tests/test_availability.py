@@ -46,6 +46,11 @@ class TestSurvivable:
         with pytest.raises(AnalysisError):
             survivable(_scheme(), {99})
 
+    def test_unknown_device_beside_a_losing_pair(self):
+        # {3, 4} alone loses data; device 99 must still be rejected.
+        with pytest.raises(AnalysisError):
+            survivable(_scheme(), {3, 4, 99})
+
 
 class TestCountSurvivableSets:
     @pytest.mark.parametrize("m", [4, 8, 16])

@@ -11,11 +11,13 @@ signatures, damaged checksummed pages, the batched cache path, explicit
 service batches and the batched optimality checker.
 """
 
+import itertools
 import random
 import sys
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,13 @@ from hypothesis import strategies as st
 from repro import BatchEngine, make_method
 from repro.api import make_durable_file
 from repro.core.fx import FXDistribution
-from repro.core.inverse import bucket_strides, separable_qualified_flat_batch
+from repro.core import inverse
+from repro.core.inverse import (
+    bucket_strides,
+    pattern_plan,
+    separable_qualified_flat_batch,
+    separable_qualified_on_device,
+)
 from repro.distribution.modulo import ModuloDistribution
 from repro.durability import DeviceRebuilder, Scrubber
 from repro.durability.checksummed_store import ChecksummedBucketStore
@@ -422,6 +430,171 @@ class TestBatchKernel:
                     assert flat[offset : offset + take].tolist() == expected
                     offset += take
             assert offset == flat.size
+
+    @given(
+        st.sampled_from(["fx", "fx-basic", "gdm", "modulo", "zorder"]),
+        st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=3),
+        st.sampled_from([2, 4, 8]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pattern_plan_relabelled_by_fold_matches_iterator(
+        self, name, sizes, m
+    ):
+        """For every pattern and every specified-value combination, the
+        cached fold-0 plan read from device ``d ⊕ c`` (or ``d − c``) and
+        shifted by the specified prefix is the reference iterator's
+        enumeration on device ``d``, in order."""
+        method = make_method(name, fields=tuple(sizes), devices=m)
+        fs = method.filesystem
+        strides = bucket_strides(fs)
+        xor = method.combine == "xor"
+        queries = []
+        for mask in range(1 << fs.n_fields):
+            pattern = frozenset(i for i in range(fs.n_fields) if mask >> i & 1)
+            plan = pattern_plan(method, pattern, strides)
+            specified = [i for i in range(fs.n_fields) if i not in pattern]
+            for choice in itertools.product(
+                *(range(fs.field_sizes[i]) for i in specified)
+            ):
+                query = PartialMatchQuery.from_dict(
+                    fs, dict(zip(specified, choice))
+                )
+                queries.append(query)
+                fold = 0
+                for i, value in zip(specified, choice):
+                    contribution = method.field_contribution(i, value)
+                    fold = fold ^ contribution if xor else fold + contribution
+                prefix = sum(
+                    v * int(strides[i]) for i, v in zip(specified, choice)
+                )
+                for device in range(m):
+                    source = device ^ fold if xor else (device - fold) % m
+                    relabelled = plan.flat[
+                        plan.starts[source]:plan.starts[source + 1]
+                    ] + prefix
+                    expected = [
+                        int(strides @ np.asarray(bucket))
+                        for bucket in separable_qualified_on_device(
+                            method, device, query
+                        )
+                    ]
+                    assert relabelled.tolist() == expected
+        flat, counts = separable_qualified_flat_batch(method, queries, strides)
+        assert counts.sum() == flat.size == sum(
+            q.qualified_count for q in queries
+        )
+
+    def test_plan_cache_stays_within_its_byte_budget(self, monkeypatch):
+        """Kept plans never exceed the budget; a plan larger than the
+        whole budget is served correctly and not kept."""
+        method = make_method("fx", fields=(8, 8, 8), devices=8)
+        fs = method.filesystem
+        strides = bucket_strides(fs)
+        two_fields = pattern_plan(
+            make_method("fx", fields=(8, 8, 8), devices=8),
+            frozenset({0, 1}),
+            strides,
+        )
+        # Room for one 64-bucket plan beside smaller ones, so they evict
+        # each other, and never for the 512-bucket full scan.
+        budget = 2 * two_fields.nbytes - 1
+        monkeypatch.setattr(inverse, "PATTERN_PLAN_BUDGET", budget)
+        rng = random.Random(4)
+        for __ in range(60):
+            spec = {
+                i: rng.randrange(8) for i in range(3) if rng.random() < 0.5
+            }
+            query = PartialMatchQuery.from_dict(fs, spec)
+            flat, counts = separable_qualified_flat_batch(
+                method, [query], strides
+            )
+            expected = [
+                int(strides @ np.asarray(bucket))
+                for device in range(fs.m)
+                for bucket in separable_qualified_on_device(
+                    method, device, query
+                )
+            ]
+            assert flat.tolist() == expected
+            cache = method.__dict__["_pattern_plans"]
+            assert cache.nbytes == sum(p.nbytes for p in cache.values())
+            assert cache.nbytes <= budget
+            assert (frozenset(range(3)), strides.tobytes()) not in cache
+        assert 0 < len(cache) < 8
+
+    def test_plan_cache_accounting_survives_racing_threads(self, monkeypatch):
+        """Four threads plan every pattern of one method under a budget
+        that forces evictions, with thread switches forced often: the
+        kept bytes always add up and stay within the budget."""
+        method = make_method("gdm", fields=(8, 8, 8), devices=8)
+        fs = method.filesystem
+        strides = bucket_strides(fs)
+        monkeypatch.setattr(inverse, "PATTERN_PLAN_BUDGET", 1500)
+        queries = [
+            PartialMatchQuery.from_dict(
+                fs, {i: 5 for i in range(3) if not mask >> i & 1}
+            )
+            for mask in range(8)
+        ]
+        expected = [
+            separable_qualified_flat_batch(method, [q], strides)[0].tolist()
+            for q in queries
+        ]
+        wrong = []
+
+        def plan(offset):
+            for k in range(200):
+                index = (offset + k) % len(queries)
+                flat, __ = separable_qualified_flat_batch(
+                    method, [queries[index]], strides
+                )
+                if flat.tolist() != expected[index]:
+                    wrong.append(index)
+
+        threads = [
+            threading.Thread(target=plan, args=(offset,))
+            for offset in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        cache = method.__dict__["_pattern_plans"]
+        assert cache.nbytes == sum(p.nbytes for p in cache.values())
+        assert cache.nbytes <= 1500
+
+
+class TestUniqueReads:
+    @pytest.mark.parametrize("bitmap", [True, False], ids=["bitmap", "sorted"])
+    @given(case=engine_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_unique_reads_counts_distinct_planned_pairs(self, bitmap, case):
+        """``unique_reads`` is the number of distinct planned (device,
+        bucket) pairs, absent buckets included, on both sides of
+        ``BITMAP_DOMAIN_LIMIT``; the engine's results stay serial's."""
+        pf, queries = case
+        limit = ArrayBatchPlanner.BITMAP_DOMAIN_LIMIT if bitmap else 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ArrayBatchPlanner, "BITMAP_DOMAIN_LIMIT", limit)
+            plan = ArrayBatchPlanner(pf.method).plan(queries)
+            report = BatchEngine(pf).execute(queries)
+        pairs = {
+            (device, tuple(bucket))
+            for query in queries
+            for device in range(pf.filesystem.m)
+            for bucket in pf.method.qualified_on_device(device, query)
+        }
+        assert plan.unique_reads == report.unique_reads == len(pairs)
+        serial = QueryExecutor(pf)
+        for query, result in zip(queries, report.results):
+            assert_results_identical(result, serial.execute(query))
 
 
 class TestCorruptPages:

@@ -200,6 +200,32 @@ class TestEnvelope:
         with pytest.raises(ProtocolError):
             protocol.error_response(1, "nonsense", "x")
 
+    def test_result_frame_bytes_match_a_list_copy_of_the_records(self):
+        """Records ride the wire as they are; the frame is byte for byte
+        the one a list copy of every record encodes to."""
+        records = [
+            (1, 2, 3),
+            ("blue", "green"),
+            (7, ("nested", (1, 2)), "x"),
+            (),
+        ]
+        result = ServiceResult(
+            status="ok",
+            query=PartialMatchQuery.full_scan(FileSystem.of(4, 4, m=4)),
+            records=records,
+            write_version=5,
+            submit_version=4,
+        )
+        copied = result.to_dict()
+        copied["record_values"] = [list(record) for record in records]
+        frame = protocol.encode_frame(
+            protocol.ok_response(9, protocol.result_payload(result))
+        )
+        assert frame == protocol.encode_frame(protocol.ok_response(9, copied))
+        assert json.loads(frame[4:])["result"]["record_values"][2] == [
+            7, ["nested", [1, 2]], "x"
+        ]
+
 
 # ======================================================================
 # Server operations over real sockets

@@ -24,7 +24,7 @@ from repro.errors import (
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "12.0.0"
+        assert repro.__version__ == "13.0.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
